@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <deque>
-#include <set>
 
 using namespace dprle;
 
@@ -98,133 +98,158 @@ Dfa Dfa::complemented() const {
 
 Dfa Dfa::minimized() const {
   // Restrict to states reachable from the start state first; Hopcroft
-  // assumes the input has no unreachable states.
-  std::vector<StateId> OldOf; // new -> old
+  // assumes the input has no unreachable states. OldOf doubles as the BFS
+  // queue.
+  std::vector<StateId> OldOf = {Start}; // new -> old
   std::vector<StateId> NewOf(numStates(), InvalidState);
-  {
-    std::deque<StateId> Work = {Start};
-    NewOf[Start] = 0;
-    OldOf.push_back(Start);
-    while (!Work.empty()) {
-      StateId S = Work.front();
-      Work.pop_front();
-      for (unsigned C = 0; C != numClasses(); ++C) {
-        StateId To = next(S, C);
-        if (NewOf[To] != InvalidState)
-          continue;
-        NewOf[To] = static_cast<StateId>(OldOf.size());
-        OldOf.push_back(To);
-        Work.push_back(To);
-      }
+  NewOf[Start] = 0;
+  for (size_t Head = 0; Head != OldOf.size(); ++Head) {
+    StateId S = OldOf[Head];
+    for (unsigned C = 0; C != numClasses(); ++C) {
+      StateId To = next(S, C);
+      if (NewOf[To] != InvalidState)
+        continue;
+      NewOf[To] = static_cast<StateId>(OldOf.size());
+      OldOf.push_back(To);
     }
   }
   const unsigned N = OldOf.size();
   const unsigned K = numClasses();
 
-  // Hopcroft's algorithm over the reachable sub-automaton.
-  // Partition states into blocks; refine with (block, class) splitters.
-  std::vector<unsigned> BlockOf(N);
-  std::vector<std::vector<StateId>> Blocks;
-  {
-    std::vector<StateId> Acc, Rej;
-    for (StateId S = 0; S != N; ++S)
-      (Accepting[OldOf[S]] ? Acc : Rej).push_back(S);
-    if (!Acc.empty()) {
-      for (StateId S : Acc)
-        BlockOf[S] = Blocks.size();
-      Blocks.push_back(std::move(Acc));
-    }
-    if (!Rej.empty()) {
-      for (StateId S : Rej)
-        BlockOf[S] = Blocks.size();
-      Blocks.push_back(std::move(Rej));
-    }
-  }
+  // Hopcroft's algorithm over the reachable sub-automaton, on flat arrays
+  // allocated once: every block is a contiguous range of Elems (Pos is the
+  // inverse), so a split only reorders one range. Block numbering depends
+  // on the splitter sequence and on which half of a split becomes the new
+  // block, never on the order of states inside a block, so it is the
+  // numbering of the textbook list-of-blocks formulation.
+  std::vector<StateId> Elems;
+  Elems.reserve(N);
+  for (StateId S = 0; S != N; ++S)
+    if (Accepting[OldOf[S]])
+      Elems.push_back(S);
+  const unsigned NumAccepting = Elems.size();
+  for (StateId S = 0; S != N; ++S)
+    if (!Accepting[OldOf[S]])
+      Elems.push_back(S);
+  std::vector<unsigned> Pos(N), BlockOf(N);
+  std::vector<unsigned> Begin, End;
+  Begin.reserve(N);
+  End.reserve(N);
+  auto AddBlock = [&](unsigned Lo, unsigned Hi) {
+    for (unsigned I = Lo; I != Hi; ++I)
+      BlockOf[Elems[I]] = Begin.size();
+    Begin.push_back(Lo);
+    End.push_back(Hi);
+  };
+  if (NumAccepting != 0)
+    AddBlock(0, NumAccepting);
+  if (NumAccepting != N)
+    AddBlock(NumAccepting, N);
+  for (unsigned I = 0; I != N; ++I)
+    Pos[Elems[I]] = I;
 
-  // Reverse transition lists per class, over renumbered states.
-  std::vector<std::vector<std::vector<StateId>>> Rev(
-      K, std::vector<std::vector<StateId>>(N));
+  // Reverse transitions in CSR form: the predecessors of state T on class
+  // C are RevData[RevOff[C * N + T] .. RevOff[C * N + T + 1]).
+  // Counting sort: count each cell, turn the counts into cell ends, then
+  // fill backwards so every end moves down to its cell's start.
+  std::vector<unsigned> RevOff(size_t(K) * N + 1, 0);
+  std::vector<StateId> RevData(size_t(K) * N);
+  auto Cell = [&](StateId S, unsigned C) {
+    return size_t(C) * N + NewOf[next(OldOf[S], C)];
+  };
   for (StateId S = 0; S != N; ++S)
     for (unsigned C = 0; C != K; ++C)
-      Rev[C][NewOf[next(OldOf[S], C)]].push_back(S);
+      ++RevOff[Cell(S, C)];
+  for (size_t I = 1; I != RevOff.size(); ++I)
+    RevOff[I] += RevOff[I - 1];
+  for (StateId S = N; S-- != 0;)
+    for (unsigned C = 0; C != K; ++C)
+      RevData[--RevOff[Cell(S, C)]] = S;
 
   // Hopcroft worklist with the classic smaller-half rule: when block B
   // splits into Larger (stays as B) and Smaller (becomes NewBlock), a
   // pending (B, c) still covers the larger half, so only (NewBlock, c)
   // must be queued; otherwise the *smaller* half suffices as the future
-  // splitter. This bounds total work by O(n k log n).
-  std::deque<std::pair<unsigned, unsigned>> Work; // (block, class)
-  std::set<std::pair<unsigned, unsigned>> InWork;
-  auto Push = [&](unsigned B, unsigned C) {
-    if (InWork.insert({B, C}).second)
-      Work.push_back({B, C});
-  };
+  // splitter. This bounds total work by O(n k log n). Every (block, class)
+  // pair is queued exactly once, when its block is created, so the FIFO
+  // needs no membership set and holds at most N * K pairs.
+  std::vector<std::pair<unsigned, unsigned>> Work; // (block, class)
   for (unsigned C = 0; C != K; ++C)
-    for (unsigned B = 0; B != Blocks.size(); ++B)
-      Push(B, C);
+    for (unsigned B = 0; B != Begin.size(); ++B)
+      Work.push_back({B, C});
 
+  // Per-splitter scratch, reused: the states with a C-transition into the
+  // splitter (InX / Touched), the blocks they fall in, and how many of each
+  // block's states were hit. Hit states are swapped to the front of their
+  // block's range as they are found.
+  std::vector<uint8_t> InX(N, 0);
   std::vector<StateId> Touched;
-  while (!Work.empty()) {
-    auto [SplitterBlock, C] = Work.front();
-    Work.pop_front();
-    InWork.erase({SplitterBlock, C});
+  std::vector<unsigned> TouchedBlocks;
+  std::vector<unsigned> Hits(N, 0);
+  for (size_t Head = 0; Head != Work.size(); ++Head) {
+    auto [SplitterBlock, C] = Work[Head];
     // X = set of states with a C-transition into SplitterBlock.
-    std::vector<bool> InX(N, false);
     Touched.clear();
-    for (StateId Target : Blocks[SplitterBlock]) {
-      for (StateId S : Rev[C][Target]) {
+    for (unsigned I = Begin[SplitterBlock]; I != End[SplitterBlock]; ++I) {
+      size_t Cell = size_t(C) * N + Elems[I];
+      for (unsigned R = RevOff[Cell]; R != RevOff[Cell + 1]; ++R) {
+        StateId S = RevData[R];
         if (InX[S])
           continue;
-        InX[S] = true;
+        InX[S] = 1;
         Touched.push_back(S);
       }
     }
     if (Touched.empty())
       continue;
-    // Group touched states by their current block: a stable sort keeps the
-    // same (ascending block, encounter order within block) grouping the
-    // std::map here used to produce, without its per-splitter allocations.
-    std::stable_sort(Touched.begin(), Touched.end(),
-                     [&](StateId A, StateId B) {
-                       return BlockOf[A] < BlockOf[B];
-                     });
-    for (size_t Lo = 0; Lo != Touched.size();) {
-      unsigned B = BlockOf[Touched[Lo]];
-      size_t Hi = Lo;
-      while (Hi != Touched.size() && BlockOf[Touched[Hi]] == B)
-        ++Hi;
-      std::vector<StateId> Hits(Touched.begin() + Lo, Touched.begin() + Hi);
-      Lo = Hi;
-      if (Hits.size() == Blocks[B].size())
+    TouchedBlocks.clear();
+    for (StateId S : Touched) {
+      unsigned B = BlockOf[S];
+      if (Hits[B] == 0)
+        TouchedBlocks.push_back(B);
+      unsigned Slot = Begin[B] + Hits[B]++;
+      StateId Other = Elems[Slot];
+      Elems[Pos[S]] = Other;
+      Pos[Other] = Pos[S];
+      Elems[Slot] = S;
+      Pos[S] = Slot;
+    }
+    for (StateId S : Touched)
+      InX[S] = 0;
+    // Split the touched blocks in ascending block order.
+    std::sort(TouchedBlocks.begin(), TouchedBlocks.end());
+    for (unsigned B : TouchedBlocks) {
+      unsigned NumHits = Hits[B];
+      Hits[B] = 0;
+      unsigned Lo = Begin[B], Mid = Lo + NumHits, Hi = End[B];
+      if (Mid == Hi)
         continue; // Entire block is in X; no split.
-      // Split block B: the smaller half moves into NewBlock.
-      std::vector<StateId> Rest;
-      Rest.reserve(Blocks[B].size() - Hits.size());
-      for (StateId S : Blocks[B])
-        if (!InX[S])
-          Rest.push_back(S);
-      unsigned NewBlock = Blocks.size();
-      const bool HitsSmaller = Hits.size() <= Rest.size();
-      std::vector<StateId> &Moved = HitsSmaller ? Hits : Rest;
-      for (StateId S : Moved)
-        BlockOf[S] = NewBlock;
-      Blocks[B] = HitsSmaller ? std::move(Rest) : std::move(Hits);
-      Blocks.push_back(std::move(Moved));
+      // Split block B: the smaller half (hits on a tie) moves into
+      // NewBlock.
+      unsigned NewBlock = Begin.size();
+      if (NumHits <= Hi - Mid) {
+        Begin[B] = Mid;
+        AddBlock(Lo, Mid);
+      } else {
+        End[B] = Mid;
+        AddBlock(Mid, Hi);
+      }
       // Because the smaller half always moves into NewBlock, both cases
       // of the classic rule ("replace a pending (B, c) by both halves;
       // otherwise queue the smaller half") reduce to queueing NewBlock.
       for (unsigned C2 = 0; C2 != K; ++C2)
-        Push(NewBlock, C2);
+        Work.push_back({NewBlock, C2});
     }
   }
 
-  // Emit the quotient automaton.
-  Dfa Out(Partition, Blocks.size(), BlockOf[NewOf[Start]]);
-  for (unsigned B = 0; B != Blocks.size(); ++B) {
-    StateId Rep = Blocks[B].front();
-    Out.setAccepting(B, Accepting[OldOf[Rep]]);
+  // Emit the quotient automaton. Every state of a block is equivalent, so
+  // any member represents it.
+  Dfa Out(Partition, Begin.size(), BlockOf[NewOf[Start]]);
+  for (unsigned B = 0; B != Begin.size(); ++B) {
+    StateId Rep = OldOf[Elems[Begin[B]]];
+    Out.setAccepting(B, Accepting[Rep]);
     for (unsigned C = 0; C != K; ++C)
-      Out.setNext(B, C, BlockOf[NewOf[next(OldOf[Rep], C)]]);
+      Out.setNext(B, C, BlockOf[NewOf[next(Rep, C)]]);
   }
   return Out;
 }

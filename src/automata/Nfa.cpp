@@ -234,23 +234,33 @@ std::vector<bool> Nfa::reachableFromStart() const {
 }
 
 std::vector<bool> Nfa::coReachable() const {
-  // Build the reverse adjacency once, then BFS from all accepting states.
-  std::vector<std::vector<StateId>> Rev(numStates());
-  for (StateId S = 0; S != numStates(); ++S)
+  // Build the reverse adjacency once, in CSR form (the predecessors of T
+  // are Preds[Off[T] .. Off[T + 1])), then search from all accepting
+  // states.
+  const unsigned N = numStates();
+  std::vector<unsigned> Off(N + 1, 0);
+  for (StateId S = 0; S != N; ++S)
     for (const Transition &T : States[S])
-      Rev[T.To].push_back(S);
-  std::vector<bool> Seen(numStates(), false);
-  std::deque<StateId> Work;
-  for (StateId S = 0; S != numStates(); ++S) {
+      ++Off[T.To];
+  for (unsigned I = 1; I <= N; ++I)
+    Off[I] += Off[I - 1];
+  std::vector<StateId> Preds(Off[N]);
+  for (StateId S = 0; S != N; ++S)
+    for (const Transition &T : States[S])
+      Preds[--Off[T.To]] = S;
+  std::vector<bool> Seen(N, false);
+  std::vector<StateId> Work;
+  for (StateId S = 0; S != N; ++S) {
     if (!Accepting[S])
       continue;
     Seen[S] = true;
     Work.push_back(S);
   }
   while (!Work.empty()) {
-    StateId S = Work.front();
-    Work.pop_front();
-    for (StateId P : Rev[S]) {
+    StateId S = Work.back();
+    Work.pop_back();
+    for (unsigned I = Off[S]; I != Off[S + 1]; ++I) {
+      StateId P = Preds[I];
       if (Seen[P])
         continue;
       Seen[P] = true;

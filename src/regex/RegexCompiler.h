@@ -21,7 +21,9 @@
 namespace dprle {
 
 /// Compiles \p Node into an NFA recognizing exactly L(Node). The result
-/// always has a single accepting state.
+/// always has a single accepting state. Takes time linear in the
+/// pattern's expanded size (RegexParser.h's MaxExpandedSize), plus the
+/// determinizations of any `&` / `~` operators.
 Nfa compileRegex(const RegexNode &Node);
 
 /// Parses and compiles \p Pattern as a whole-string (fully anchored)

@@ -3,6 +3,7 @@
 #include "regex/RegexParser.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <cstdio>
@@ -34,6 +35,38 @@ CharSet spaceSet() {
   return S;
 }
 
+/// MaxExpandedSize's measure of \p Node, saturating just past the limit.
+uint64_t expandedSize(const RegexNode &Node) {
+  const uint64_t Cap = MaxExpandedSize + 1;
+  switch (Node.kind()) {
+  case RegexNode::Kind::Literal:
+    return std::min<uint64_t>(Node.text().size(), Cap);
+  case RegexNode::Kind::Concat:
+  case RegexNode::Kind::Alternate:
+  case RegexNode::Kind::Intersect: {
+    uint64_t Sum = 0;
+    for (const RegexPtr &Child : Node.children())
+      Sum = std::min(Cap, Sum + expandedSize(*Child));
+    return Sum;
+  }
+  case RegexNode::Kind::Complement:
+    return expandedSize(*Node.children().front());
+  case RegexNode::Kind::Repeat: {
+    uint64_t Copies = Node.repeatMax() == RepeatUnbounded
+                          ? uint64_t(Node.repeatMin()) + 1
+                          : uint64_t(Node.repeatMax());
+    // Both factors are at most Cap, so the product cannot overflow.
+    return std::min(Cap, std::max<uint64_t>(Copies, 1) *
+                             expandedSize(*Node.children().front()));
+  }
+  case RegexNode::Kind::Empty:
+  case RegexNode::Kind::Epsilon:
+  case RegexNode::Kind::Class:
+    return 1;
+  }
+  return 1;
+}
+
 class Parser {
 public:
   Parser(const std::string &Pattern, bool Extended)
@@ -53,6 +86,9 @@ public:
     }
     if (!Failed && Pos != Src.size())
       fail("unexpected character");
+    if (!Failed && expandedSize(*Ast) > MaxExpandedSize)
+      fail("pattern expands to more than " + std::to_string(MaxExpandedSize) +
+           " symbols once counted repetitions are unrolled");
     if (Failed) {
       Result.Error = ErrorMsg;
       Result.ErrorPos = ErrorPos;
@@ -145,18 +181,24 @@ private:
       } else if (C == '{') {
         size_t Save = Pos;
         ++Pos;
+        size_t CountPos = Pos;
         long Min = parseDecimal(Src, Pos);
         if (Min < 0) {
           // Not a quantifier after all; treat '{' as a literal.
           Pos = Save;
           break;
         }
+        if (!checkCount(Min, CountPos))
+          return nullptr;
         long Max = Min;
         if (peek() == ',') {
           ++Pos;
+          CountPos = Pos;
           Max = parseDecimal(Src, Pos);
           if (Max < 0)
             Max = RepeatUnbounded;
+          else if (!checkCount(Max, CountPos))
+            return nullptr;
         }
         if (peek() != '}') {
           fail("expected '}' in repetition");
@@ -174,6 +216,17 @@ private:
       }
     }
     return Atom;
+  }
+
+  /// Fails unless \p Count is within MaxRepeatCount; \p CountPos is where
+  /// its digits start.
+  bool checkCount(long Count, size_t CountPos) {
+    if (Count <= MaxRepeatCount)
+      return true;
+    Pos = CountPos;
+    fail("repetition count exceeds the cap of " +
+         std::to_string(MaxRepeatCount));
+    return false;
   }
 
   RegexPtr parseAtom() {

@@ -14,6 +14,7 @@
 
 #include "regex/RegexAst.h"
 
+#include <cstdint>
 #include <string>
 
 namespace dprle {
@@ -33,6 +34,21 @@ struct RegexParseResult {
 
   bool ok() const { return Ast != nullptr; }
 };
+
+/// The largest count a `{m}`, `{m,}` or `{m,n}` quantifier may name;
+/// larger counts are parse errors. Compilation unrolls counted
+/// repetition, and constraint text is compiled before any request budget
+/// exists (docs/ROBUSTNESS.md), so the counts must be bounded up front.
+constexpr long MaxRepeatCount = 1000;
+
+/// The largest expanded size a pattern may have; larger patterns are parse
+/// errors. The expanded size is the number of symbols the pattern spells
+/// out once every counted repetition is unrolled: a literal counts its
+/// length, every other atom one; `{m,n}` multiplies its operand by n,
+/// `{m,}` by m + 1 (`*` and `?` by one). This catches nested counts such
+/// as `(a{1000}){1000}` whose counts pass MaxRepeatCount one by one. The
+/// compiled machine has at most about three states per unit.
+constexpr uint64_t MaxExpandedSize = 20000;
 
 /// Parses \p Pattern. Never throws; failures are reported in the result.
 RegexParseResult parseRegex(const std::string &Pattern);

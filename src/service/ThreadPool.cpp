@@ -3,6 +3,7 @@
 #include "service/ThreadPool.h"
 
 #include <atomic>
+#include <exception>
 #include <memory>
 
 using namespace dprle;
@@ -83,13 +84,21 @@ void ThreadPool::parallelFor(size_t N,
   // are claimed exit without touching Body, so a late-running helper can
   // never dereference the (stack-lifetime) Body: an index claim implies
   // the caller is still inside this function waiting for Done == N.
+  //
+  // A throwing Body must neither escape a worker (std::terminate) nor
+  // unwind the caller while other threads still run bodies against its
+  // stack. The first exception is kept in Error; indices claimed after it
+  // are counted done without running, and the caller rethrows once every
+  // claimed index has finished.
   struct State {
     std::atomic<size_t> Next{0};
     std::atomic<size_t> Done{0};
+    std::atomic<bool> Failed{false};
     size_t N = 0;
     const std::function<void(size_t)> *Body = nullptr;
     std::mutex Mutex;
     std::condition_variable AllDone;
+    std::exception_ptr Error; // Guarded by Mutex.
   };
   auto S = std::make_shared<State>();
   S->N = N;
@@ -101,7 +110,16 @@ void ThreadPool::parallelFor(size_t N,
       size_t I = S->Next.fetch_add(1, std::memory_order_relaxed);
       if (I >= S->N)
         break;
-      (*S->Body)(I);
+      if (!S->Failed.load(std::memory_order_relaxed)) {
+        try {
+          (*S->Body)(I);
+        } catch (...) {
+          std::lock_guard<std::mutex> Lock(S->Mutex);
+          if (!S->Error)
+            S->Error = std::current_exception();
+          S->Failed.store(true, std::memory_order_relaxed);
+        }
+      }
       ++Completed;
     }
     if (Completed == 0)
@@ -127,4 +145,6 @@ void ThreadPool::parallelFor(size_t N,
   S->AllDone.wait(Lock, [&] {
     return S->Done.load(std::memory_order_acquire) == S->N;
   });
+  if (S->Error)
+    std::rethrow_exception(S->Error);
 }

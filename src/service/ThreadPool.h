@@ -67,7 +67,9 @@ public:
 
   /// Executor: runs Body(0..N-1) across the workers *and* the calling
   /// thread; returns when all indices completed. Safe to call from inside
-  /// a pool job (see the file comment).
+  /// a pool job (see the file comment). If a body throws, the first
+  /// exception is rethrown here once every claimed index has finished
+  /// (indices not yet started are skipped).
   void parallelFor(size_t N, const std::function<void(size_t)> &Body) override;
 
 private:

@@ -2,6 +2,8 @@
 
 #include "solver/DependencyGraph.h"
 #include "automata/NfaOps.h"
+#include "support/Budget.h"
+#include "support/Executor.h"
 #include "support/Trace.h"
 #include "support/UnionFind.h"
 
@@ -20,8 +22,9 @@ NodeId DependencyGraph::addNode(NodeKind Kind, std::string Name) {
 }
 
 DependencyGraph DependencyGraph::build(const Problem &P,
-                                       bool CanonicalizeConstants) {
-  return buildImpl(P, CanonicalizeConstants, nullptr, 0, nullptr);
+                                       bool CanonicalizeConstants,
+                                       Executor *Exec) {
+  return buildImpl(P, CanonicalizeConstants, nullptr, 0, nullptr, Exec);
 }
 
 DependencyGraph DependencyGraph::rebuild(const Problem &P,
@@ -30,14 +33,15 @@ DependencyGraph DependencyGraph::rebuild(const Problem &P,
                                          size_t StablePrefix,
                                          uint64_t *ConstantsReused) {
   return buildImpl(P, CanonicalizeConstants, &Old, StablePrefix,
-                   ConstantsReused);
+                   ConstantsReused, nullptr);
 }
 
 DependencyGraph DependencyGraph::buildImpl(const Problem &P,
                                            bool CanonicalizeConstants,
                                            DependencyGraph *Old,
                                            size_t StablePrefix,
-                                           uint64_t *ConstantsReused) {
+                                           uint64_t *ConstantsReused,
+                                           Executor *Exec) {
   DPRLE_TRACE_SPAN("build_dependency_graph");
   DependencyGraph G;
 
@@ -61,6 +65,8 @@ DependencyGraph DependencyGraph::buildImpl(const Problem &P,
   unsigned TempCounter = 0;
   unsigned ConstCounter = 0;
   bool ReuseThisConstraint = false;
+  // Constants still to normalize, in creation order: (node, language).
+  std::vector<std::pair<NodeId, const Nfa *>> Pending;
   auto AddConstant = [&](const Nfa &Language, const std::string &Name) {
     std::string NodeName =
         Name.empty() ? "c" + std::to_string(ConstCounter) : Name;
@@ -73,18 +79,7 @@ DependencyGraph DependencyGraph::buildImpl(const Problem &P,
         ++*ConstantsReused;
       return N;
     }
-    // See the header comment on build() for the two normalization modes.
-    // Constants stay multi-accepting in both: funneling accepting states
-    // through a fresh epsilon-final would introduce guess-the-end
-    // nondeterminism that compounds under products (concat() normalizes
-    // its left operand on demand when a single final state is required).
-    // Intermediate (marker-carrying) machines are never minimized here —
-    // that is the paper's suggested future optimization, measured by the
-    // E9 ablation benchmark.
-    if (CanonicalizeConstants)
-      G.Constants[N] = minimized(Language);
-    else
-      G.Constants[N] = Language.withoutEpsilonTransitions();
+    Pending.emplace_back(N, &Language);
     return N;
   };
 
@@ -123,6 +118,36 @@ DependencyGraph DependencyGraph::buildImpl(const Problem &P,
     G.ConstraintSpans.emplace_back(
         SpanBegin, static_cast<uint32_t>(G.numNodes() - SpanBegin));
     ++CIdx;
+  }
+
+  // Normalize the pending constants. Each one is independent of the
+  // others and of the graph's shape, so with an executor they are
+  // normalized concurrently; every machine is the one the serial loop
+  // would produce. See the header comment on build() for the two modes.
+  // Constants stay multi-accepting in both: funneling accepting states
+  // through a fresh epsilon-final would introduce guess-the-end
+  // nondeterminism that compounds under products (concat() normalizes its
+  // left operand on demand when a single final state is required).
+  // Intermediate (marker-carrying) machines are never minimized here —
+  // that is the paper's suggested future optimization, measured by the E9
+  // ablation benchmark.
+  auto Normalize = [&](size_t I) {
+    auto [N, Language] = Pending[I];
+    G.Constants[N] = CanonicalizeConstants
+                         ? minimized(*Language)
+                         : Language->withoutEpsilonTransitions();
+  };
+  if (Exec && Pending.size() > 1) {
+    // The bodies run on pool workers, whose thread-local budget is unset:
+    // re-install the caller's, as the gci waves do.
+    ResourceBudget *Budget = ResourceGuard::current();
+    Exec->parallelFor(Pending.size(), [&](size_t I) {
+      ResourceGuard BudgetScope(Budget);
+      Normalize(I);
+    });
+  } else {
+    for (size_t I = 0; I != Pending.size(); ++I)
+      Normalize(I);
   }
   return G;
 }

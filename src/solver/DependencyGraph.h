@@ -27,6 +27,8 @@
 
 namespace dprle {
 
+class Executor;
+
 /// Dense vertex index within a DependencyGraph.
 using NodeId = uint32_t;
 
@@ -65,8 +67,14 @@ public:
   /// prototype behaviour whose cost the Figure 12 benchmark reproduces,
   /// including the pathological `secure` row that the paper suggests
   /// minimization would repair.
+  ///
+  /// \param Exec when non-null, constants are normalized concurrently on
+  /// it (a second pass after the graph's nodes and edges are laid out);
+  /// the graph equals the serial build's. Bodies re-install the calling
+  /// thread's ambient ResourceGuard budget.
   static DependencyGraph build(const Problem &P,
-                               bool CanonicalizeConstants = true);
+                               bool CanonicalizeConstants = true,
+                               Executor *Exec = nullptr);
 
   /// Incremental rebuild for the session API (Session.h): produces a graph
   /// *identical* to `build(P, CanonicalizeConstants)` — same node ids,
@@ -138,7 +146,7 @@ private:
   static DependencyGraph buildImpl(const Problem &P,
                                    bool CanonicalizeConstants,
                                    DependencyGraph *Old, size_t StablePrefix,
-                                   uint64_t *ConstantsReused);
+                                   uint64_t *ConstantsReused, Executor *Exec);
 
   std::vector<NodeKind> Kinds;
   std::vector<std::string> Names;

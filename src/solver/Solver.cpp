@@ -39,7 +39,8 @@ SolveResult Solver::solveImpl(const Problem &P,
   SolveResult Result;
   Result.Stats.NumConstraints = P.constraints().size();
 
-  DependencyGraph G = DependencyGraph::build(P, Opts.CanonicalizeConstants);
+  DependencyGraph G = DependencyGraph::build(
+      P, Opts.CanonicalizeConstants, Opts.Jobs > 1 ? Opts.Exec : nullptr);
   Result.Stats.NumNodes = G.numNodes();
 
   auto Finish = [&](bool Satisfiable) -> SolveResult & {

@@ -40,8 +40,10 @@ public:
   virtual unsigned concurrency() const = 0;
 
   /// Invokes Body(0) ... Body(N-1), possibly concurrently and in any
-  /// order, returning only when every invocation has completed. Bodies
-  /// must not throw.
+  /// order, returning only when every invocation has completed. If bodies
+  /// throw, the first exception propagates to the caller, only after
+  /// every invocation already running has completed; invocations not yet
+  /// started may be skipped.
   virtual void parallelFor(size_t N,
                            const std::function<void(size_t)> &Body) = 0;
 };

@@ -3,6 +3,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 
@@ -96,7 +97,8 @@ long dprle::parseDecimal(const std::string &Str, size_t &Pos) {
   long Value = 0;
   while (Pos < Str.size() &&
          std::isdigit(static_cast<unsigned char>(Str[Pos]))) {
-    Value = Value * 10 + (Str[Pos] - '0');
+    long Digit = Str[Pos] - '0';
+    Value = Value > (LONG_MAX - Digit) / 10 ? LONG_MAX : Value * 10 + Digit;
     ++Pos;
   }
   return Value;

@@ -35,7 +35,8 @@ std::string join(const std::vector<std::string> &Parts,
 bool isRegexMetaChar(unsigned char C);
 
 /// Parses a non-negative decimal integer from \p Str starting at \p Pos,
-/// advancing \p Pos past the digits. Returns -1 if no digit is present.
+/// advancing \p Pos past the digits. Returns -1 if no digit is present;
+/// values past LONG_MAX saturate to LONG_MAX.
 long parseDecimal(const std::string &Str, size_t &Pos);
 
 /// Strict UTF-8 validation: true iff \p Str is a well-formed UTF-8 byte

@@ -18,6 +18,7 @@
 #include "miniphp/SymExec.h"
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
+#include "service/ThreadPool.h"
 #include "solver/ConstraintParser.h"
 #include "solver/Solver.h"
 #include "support/Cancellation.h"
@@ -317,6 +318,43 @@ TEST(BudgetTest, ExhaustionLeavesNoResidueForTheNextSolve) {
   SolveResult After = Solver().solve(Small.Instance);
   EXPECT_TRUE(After.Satisfiable);
   EXPECT_FALSE(After.ResourceExhausted);
+}
+
+TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
+  // At jobs=4 the graph build canonicalizes constants on pool workers; a
+  // state budget that trips there must surface as resource_exhausted, and
+  // no machine minimized under the tripped budget may reach the minimize
+  // cache. Every constant needs more than 100 DFA states, so with the
+  // budget re-installed on the workers no minimization completes.
+  std::string Text = "var v, w, x;";
+  for (unsigned N = 6; N != 10; ++N)
+    Text += "v . w <= /(a|b)*a(a|b){" + std::to_string(N) + "}/;"
+            "x <= /(a|b)*b(a|b){" + std::to_string(N) + "}/;";
+  ConstraintParseResult Parsed = parseConstraintText(Text);
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  const Problem &P = Parsed.Instance;
+
+  clearMinimizeCache();
+  service::ThreadPool Pool(4);
+  ResourceBudget Budget(statesLimit(100));
+  SolverOptions Opts;
+  Opts.Budget = &Budget;
+  Opts.Jobs = 4;
+  Opts.Exec = &Pool;
+  SolveResult R = Solver(Opts).solve(P);
+  EXPECT_TRUE(R.ResourceExhausted);
+  EXPECT_FALSE(R.Satisfiable);
+  Pool.waitIdle();
+
+  EXPECT_EQ(minimizeCacheSize(), 0u);
+  // Later, unbudgeted callers get the true minimal machines.
+  for (const Constraint &C : P.constraints()) {
+    Nfa Cached = minimized(C.Rhs);
+    setMinimizeCacheEnabled(false);
+    Nfa Fresh = minimized(C.Rhs);
+    setMinimizeCacheEnabled(true);
+    EXPECT_EQ(structuralEncoding(Cached), structuralEncoding(Fresh));
+  }
 }
 
 } // namespace

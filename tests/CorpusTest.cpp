@@ -17,8 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 using namespace dprle;
 using namespace dprle::miniphp;
+
+namespace dprle::miniphp {
+/// Without this, gtest names each CorpusRowTest case after a byte dump of
+/// the VulnSpec, which includes heap pointers and so changes every run.
+void PrintTo(const VulnSpec &Spec, std::ostream *OS) {
+  *OS << Spec.Suite << "/" << Spec.Name;
+}
+} // namespace dprle::miniphp
 
 TEST(CorpusTest, Figure12Has17Rows) {
   auto Specs = figure12Specs();

@@ -18,6 +18,10 @@
 //     string tuples finds a satisfying point, the solver must have
 //     reported SAT (UNSAT soundness).
 //
+//   * Graph build (250 cases): on the same systems, the dependency graph
+//     built with a 4-thread pool (constants canonicalized concurrently)
+//     equals the serial build node for node.
+//
 // Every case is seeded through the gtest parameter, so a failure report
 // names the exact reproducing seed and the sweep is bit-stable across
 // runs — a smoke-level fuzz harness that rides in the regular ctest
@@ -25,10 +29,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/Matcher.h"
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
+#include "service/ThreadPool.h"
+#include "solver/DependencyGraph.h"
 #include "solver/Solver.h"
 
 #include <gtest/gtest.h>
@@ -219,4 +226,61 @@ TEST_P(SolverDifferentialTest, WitnessesAndVerdictMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, SolverDifferentialTest,
+                         ::testing::Range(1u, 251u));
+
+namespace {
+
+class ParallelCanonicalizationTest
+    : public ::testing::TestWithParam<unsigned> {};
+
+/// The pool every parameter shares (constructing one per case would
+/// dominate the sweep).
+service::ThreadPool &sharedPool() {
+  static service::ThreadPool Pool(4);
+  return Pool;
+}
+
+} // namespace
+
+TEST_P(ParallelCanonicalizationTest, PoolBuildEqualsSerialBuild) {
+  // The graph build normalizes constants concurrently when given an
+  // executor; the graph must be the serial build's, node for node. The
+  // minimize cache is cleared before each build so both really minimize.
+  const Problem P = makeSystem(GetParam()).Instance;
+  for (bool Canonicalize : {true, false}) {
+    clearMinimizeCache();
+    DependencyGraph Serial = DependencyGraph::build(P, Canonicalize);
+    clearMinimizeCache();
+    DependencyGraph Parallel =
+        DependencyGraph::build(P, Canonicalize, &sharedPool());
+    ASSERT_EQ(Parallel.numNodes(), Serial.numNodes());
+    for (NodeId N = 0; N != Serial.numNodes(); ++N) {
+      ASSERT_EQ(Parallel.kind(N), Serial.kind(N)) << N;
+      EXPECT_EQ(Parallel.name(N), Serial.name(N)) << N;
+      if (Serial.kind(N) == NodeKind::Variable) {
+        EXPECT_EQ(Parallel.variable(N), Serial.variable(N)) << N;
+      }
+      if (Serial.kind(N) == NodeKind::Constant) {
+        EXPECT_EQ(structuralHash(Parallel.constantLanguage(N)),
+                  structuralHash(Serial.constantLanguage(N)))
+            << "seed " << GetParam() << " node " << N;
+      }
+    }
+    ASSERT_EQ(Parallel.concatEdges().size(), Serial.concatEdges().size());
+    for (size_t I = 0; I != Serial.concatEdges().size(); ++I) {
+      const ConcatEdge &A = Parallel.concatEdges()[I];
+      const ConcatEdge &B = Serial.concatEdges()[I];
+      EXPECT_TRUE(A.Lhs == B.Lhs && A.Rhs == B.Rhs && A.Target == B.Target);
+    }
+    ASSERT_EQ(Parallel.subsetEdges().size(), Serial.subsetEdges().size());
+    for (size_t I = 0; I != Serial.subsetEdges().size(); ++I) {
+      EXPECT_EQ(Parallel.subsetEdges()[I].From, Serial.subsetEdges()[I].From);
+      EXPECT_EQ(Parallel.subsetEdges()[I].To, Serial.subsetEdges()[I].To);
+    }
+    for (size_t I = 0; I != P.constraints().size(); ++I)
+      EXPECT_EQ(Parallel.constraintSpan(I), Serial.constraintSpan(I));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSystems, ParallelCanonicalizationTest,
                          ::testing::Range(1u, 251u));

@@ -163,3 +163,42 @@ TEST(RegexParserTest, AstRoundTripThroughStr) {
         << Pat << " printed as " << Printed;
   }
 }
+
+TEST(RegexParserTest, RepetitionCountsAreCapped) {
+  EXPECT_TRUE(parseRegex("a{1000}").ok());
+  EXPECT_TRUE(parseRegex("a{0,1000}").ok());
+  EXPECT_TRUE(parseRegex("a{1000,}").ok());
+  for (const char *Pat :
+       {"a{1001}", "a{2,1001}", "a{1001,}", "a{99999999999}",
+        "a{2,99999999999999999999999}", "a{99999999999999999999999999,}"}) {
+    RegexParseResult R = parseRegex(Pat);
+    ASSERT_FALSE(R.ok()) << Pat;
+    EXPECT_NE(R.Error.find("cap of 1000"), std::string::npos) << R.Error;
+  }
+  // The error points at the offending count.
+  RegexParseResult R = parseRegex("ab{2,5000}");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.ErrorPos, 5u);
+  // Not a quantifier: '{' without digits stays a literal.
+  EXPECT_TRUE(parseRegex("a{x}").ok());
+}
+
+TEST(RegexParserTest, ExpandedSizeIsCapped) {
+  // Counts within the cap one by one can still multiply out; the expanded
+  // size (each leaf times the counts around it) is bounded too.
+  EXPECT_TRUE(parseRegex("(a{100}){200}").ok()); // 20000 symbols
+  EXPECT_TRUE(parseRegex(std::string(MaxExpandedSize, 'a')).ok());
+  for (const std::string &Pat :
+       {std::string("(a{1000}){1000}"), std::string("((ab){100}c){100}"),
+        std::string("(a{100}){200}b"), std::string("(a|b{20}){1000}"),
+        std::string(MaxExpandedSize + 1, 'a')}) {
+    RegexParseResult R = parseRegex(Pat);
+    ASSERT_FALSE(R.ok()) << Pat;
+    EXPECT_NE(R.Error.find("expands to more than"), std::string::npos)
+        << R.Error;
+  }
+  // Unbounded counts weigh their minimum plus one copy.
+  EXPECT_TRUE(parseRegex("(a{19}){999,}").ok());
+  EXPECT_FALSE(parseRegex("(a{20}){1000,}").ok());
+  EXPECT_FALSE(parseRegexExtended("~((a{100}){201})").ok());
+}

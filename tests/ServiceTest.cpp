@@ -12,6 +12,7 @@
 #include "service/Service.h"
 
 #include "automata/Decide.h"
+#include "automata/NfaOps.h"
 #include "automata/Serialize.h"
 #include "miniphp/Cfg.h"
 #include "miniphp/Corpus.h"
@@ -35,6 +36,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <map>
@@ -1117,14 +1119,21 @@ TEST(ServiceTest, EveryFaultSiteYieldsWellFormedOutputAndALivePing) {
   // batch that exercises solve + decide must produce only well-formed
   // NDJSON, and the service must still answer a ping afterwards. When
   // DPRLE_FAULT is set in the environment the injector is already armed
-  // process-wide and the sweep covers just that site (the CI chaos job
-  // drives it that way); otherwise every site is swept programmatically.
+  // process-wide and the sweep covers just that spec (the CI chaos job
+  // drives it that way, over several nth values); otherwise every site is
+  // swept programmatically at nth 1. Allocation sites run at jobs=1 and
+  // again at jobs=4, where the solve's parallel stages can put the fault
+  // on a pool worker. (The other sites stay at jobs=1: at jobs=4 the
+  // ping may be answered first and absorb an io.write or queue fault.)
   std::vector<std::string> Sites;
-  if (FaultInjector::global().armed())
-    Sites = {FaultInjector::global().armedSite() + ":1"};
-  else
+  if (FaultInjector::global().armed()) {
+    const char *Env = std::getenv("DPRLE_FAULT");
+    Sites = {Env ? std::string(Env)
+                 : FaultInjector::global().armedSite() + ":1"};
+  } else {
     for (const std::string &Site : FaultInjector::knownSites())
       Sites.push_back(Site + ":1");
+  }
   // Disarm while the harness builds its requests (compiling the decide
   // machines runs embed); each iteration's FaultScope re-arms the site
   // so the fault fires inside the service, not in the test body.
@@ -1139,13 +1148,21 @@ TEST(ServiceTest, EveryFaultSiteYieldsWellFormedOutputAndALivePing) {
   DecideParams["rhs"] = serializeNfa(machineFor("a(b|c)*"));
   DecideReq["params"] = std::move(DecideParams);
 
+  std::vector<std::pair<std::string, unsigned>> Runs; // (spec, jobs)
   for (const std::string &Spec : Sites) {
+    Runs.emplace_back(Spec, 1);
+    if (Spec.rfind("alloc.", 0) == 0)
+      Runs.emplace_back(Spec, 4);
+  }
+  for (const auto &[Spec, Jobs] : Runs) {
     FaultScope Fault(Spec);
     std::istringstream In(solveLine("solve", DisjunctiveInstance) + "\n" +
                           DecideReq.dump(0) + "\n" +
                           "{\"id\": \"final\", \"method\": \"ping\"}\n");
     std::ostringstream Out;
-    SolverService Service(ServiceOptions{});
+    ServiceOptions Opts;
+    Opts.Jobs = Jobs;
+    SolverService Service(Opts);
     EXPECT_EQ(Service.serve(In, Out), 0) << Spec;
 
     // responsesOf asserts every line parses as JSON.
@@ -1169,6 +1186,110 @@ TEST(ServiceTest, EveryFaultSiteYieldsWellFormedOutputAndALivePing) {
           << Spec << " -> " << Code;
     }
   }
+}
+
+/// A solve rich enough that every alloc.* site it reaches fires at least
+/// eight times on cold caches: four CI-groups (gci waves, intersections),
+/// constants to canonicalize (determinize, embed), and constant-only
+/// subset checks (the subset kernel). Only the decide verb's
+/// empty-intersection query reaches alloc.decide.product.
+const char *FaultSweepInstance =
+    "var a, b, c, d, e, f, g, h, i, j;"
+    "a . b <= /(xy|yx)*z/; c . d <= /p(q|r)*s/;"
+    "e . f <= /(ab|ba)+c/; g . h <= /m(n|o){1,3}k/;"
+    "a <= /[xyz]*/; c <= /p[qrs]*/; e <= /[abc]*/; g <= /m[nok]*/;"
+    "i <= /[ij]*/; i <= /i*j?/; j <= /j+k*/; j <= /[jk]+/;"
+    "\"x\" <= /x|y/; \"xy\" <= /[xy]*/; \"pq\" <= /p.*/;"
+    "\"ab\" <= /a.*/; \"m\" <= /[mn]/; \"kk\" <= /k*/;"
+    "\"q\" <= /q+/; \"zz\" <= /z*/; \"i\" . \"j\" <= /[ij]+/;";
+
+TEST(ServiceTest, AllocationFaultsAtJobsFourAreAnsweredAtEveryNth) {
+  // At jobs=4 the solve runs on a pool worker and fans its constant
+  // canonicalization, CI-groups and gci waves out to the other workers.
+  // Wherever the nth allocation fault fires, the request it fires in must
+  // come back as internal_error and the service must keep answering: a
+  // throwing parallelFor body is rethrown on its caller, never left to
+  // escape a worker thread.
+  std::vector<std::string> Batch = {solveLine("solve", FaultSweepInstance)};
+  for (int I = 0; I != 8; ++I) {
+    Json Req = Json::object();
+    Req["id"] = "decide" + std::to_string(I);
+    Req["method"] = "decide";
+    Json Params = Json::object();
+    Params["query"] = "empty-intersection";
+    Params["lhs"] = serializeNfa(machineFor("a{" + std::to_string(I) + "}b*"));
+    Params["rhs"] = serializeNfa(machineFor("a*c"));
+    Req["params"] = std::move(Params);
+    Batch.push_back(Req.dump(0));
+  }
+  Batch.push_back("{\"id\": \"final\", \"method\": \"ping\"}");
+  std::string Input;
+  for (const std::string &Line : Batch)
+    Input += Line + "\n";
+
+  ServiceOptions Opts;
+  Opts.Jobs = 4;
+  for (const char *Site : {"alloc.intersect", "alloc.determinize",
+                           "alloc.embed", "alloc.decide.product",
+                           "alloc.decide.subset"}) {
+    for (unsigned Nth = 1; Nth <= 8; ++Nth) {
+      std::string Spec = std::string(Site) + ":" + std::to_string(Nth);
+      // Cold caches, so every site is reached inside this batch.
+      clearMinimizeCache();
+      DecisionCache::global().clear();
+      FaultScope Fault(Spec);
+      std::istringstream In(Input);
+      std::ostringstream Out;
+      {
+        SolverService Service(Opts);
+        EXPECT_EQ(Service.serve(In, Out), 0) << Spec;
+      }
+      std::map<std::string, Json> ById;
+      for (const Json &R : responsesOf(Out.str()))
+        ById[R.find("id")->asString()] = R;
+      ASSERT_EQ(ById.size(), Batch.size()) << Spec;
+      std::vector<std::string> Failed;
+      for (const auto &[Id, R] : ById)
+        if (!R.find("ok")->asBool()) {
+          EXPECT_EQ(errorCodeOf(R), "internal_error") << Spec << " " << Id;
+          Failed.push_back(Id);
+        }
+      ASSERT_EQ(Failed.size(), 1u) << Spec;
+      if (std::string(Site) != "alloc.decide.product") {
+        EXPECT_EQ(Failed.front(), "solve") << Spec;
+      }
+      EXPECT_NE(resultOf(ById["final"]), nullptr) << Spec;
+    }
+  }
+  // The same solve with no fault armed succeeds.
+  clearMinimizeCache();
+  DecisionCache::global().clear();
+  SolverService Service(Opts);
+  EXPECT_NE(resultOf(Service.handleLine(solveLine(1, FaultSweepInstance))),
+            nullptr);
+}
+
+TEST(ServiceTest, HostileQuantifiersAreRejectedQuickly) {
+  // Counted repetition is unrolled at compile time, before any request
+  // budget exists; oversized counts and nested expansions are parse
+  // errors (docs/ROBUSTNESS.md), answered without compiling anything.
+  SolverService Service(ServiceOptions{});
+  for (const char *Pattern :
+       {"a{99999999999}", "a{1001}", "a{2,99999999999999999999999}",
+        "(a{1000}){1000}", "((ab){100}c){100}"}) {
+    auto Start = std::chrono::steady_clock::now();
+    Json Resp = Service.handleLine(
+        solveLine(1, std::string("var x; x <= /") + Pattern + "/;"));
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
+    EXPECT_EQ(errorCodeOf(Resp), "invalid_params") << Pattern;
+    EXPECT_LT(Seconds, 1.0) << Pattern;
+  }
+  // A count at the cap still solves.
+  EXPECT_NE(
+      resultOf(Service.handleLine(solveLine(2, "var x; x <= /a{1000}/;"))),
+      nullptr);
 }
 
 TEST(ServiceTest, EveryFaultSiteLeavesJournaledSessionsServable) {
