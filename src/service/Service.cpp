@@ -203,12 +203,8 @@ void SolverService::recoverFromJournal() {
       continue;
     if (Rec.Op == "open") {
       auto Entry = std::make_shared<SessionEntry>();
-      SolverOptions SOpts;
-      if (Rec.MaxSolutions != 0)
-        SOpts.MaxSolutions = Rec.MaxSolutions;
-      SOpts.Jobs = Opts.Jobs;
-      SOpts.Exec = Opts.Jobs > 1 ? &Pool : nullptr;
-      Entry->S = std::make_unique<SolverSession>(SOpts);
+      Entry->S =
+          std::make_unique<SolverSession>(solverOptions(Rec.MaxSolutions));
       if (!Rec.Constraints.empty() &&
           !Entry->S->assertText(Rec.Constraints)) {
         failSession(Rec.Session);
@@ -388,6 +384,15 @@ Json SolverService::dispatch(const Request &R, CancellationToken &Token) {
                    "unknown method \"" + R.Method + "\"");
 }
 
+SolverOptions SolverService::solverOptions(uint64_t MaxSolutions) {
+  SolverOptions SOpts;
+  if (MaxSolutions != 0)
+    SOpts.MaxSolutions = MaxSolutions;
+  SOpts.Jobs = Opts.Jobs;
+  SOpts.Exec = Opts.Jobs > 1 ? &Pool : nullptr;
+  return SOpts;
+}
+
 Json SolverService::doSolve(const Request &R, CancellationToken &Token) {
   const Json *Text = R.Params.find("constraints");
   if (!Text || !Text->isString())
@@ -427,11 +432,7 @@ Json SolverService::doSolve(const Request &R, CancellationToken &Token) {
     return LimitsErr;
   ResourceBudget Budget(Limits);
 
-  SolverOptions SOpts;
-  if (HasMax)
-    SOpts.MaxSolutions = MaxSolutions;
-  SOpts.Jobs = Opts.Jobs;
-  SOpts.Exec = Opts.Jobs > 1 ? &Pool : nullptr;
+  SolverOptions SOpts = solverOptions(MaxSolutions);
   SOpts.Cancel = &Token;
   SOpts.Budget = &Budget;
 
@@ -616,14 +617,8 @@ Json SolverService::doSessionOpen(const Request &R) {
                      "\"constraints\" must be a string of constraint "
                      "syntax (see docs/SERVICE.md)");
 
-  SolverOptions SOpts;
-  if (HasMax)
-    SOpts.MaxSolutions = MaxSolutions;
-  SOpts.Jobs = Opts.Jobs;
-  SOpts.Exec = Opts.Jobs > 1 ? &Pool : nullptr;
-
   auto Entry = std::make_shared<SessionEntry>();
-  Entry->S = std::make_unique<SolverSession>(SOpts);
+  Entry->S = std::make_unique<SolverSession>(solverOptions(MaxSolutions));
   Entry->LastUsedMs = clock().nowMs();
   if (Text) {
     std::string Error;

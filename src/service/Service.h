@@ -53,6 +53,9 @@
 #include <string>
 
 namespace dprle {
+
+struct SolverOptions;
+
 namespace service {
 
 /// Transport-independent request sink. The stdio loop, every socket
@@ -237,6 +240,11 @@ private:
   /// Caller holds SessionsMutex.
   void compactJournalLocked();
   /// @}
+
+  /// The solve configuration every verb shares: the service's job count
+  /// and pool, plus \p MaxSolutions when non-zero. Callers add per-request
+  /// Cancel/Budget.
+  SolverOptions solverOptions(uint64_t MaxSolutions);
 
   Clock &clock() const {
     return Opts.TimeSource ? *Opts.TimeSource : Clock::system();

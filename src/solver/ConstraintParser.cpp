@@ -104,10 +104,6 @@ public:
           case 't':
             Body += '\t';
             break;
-          case '\\':
-          case '"':
-            Body += E;
-            break;
           default:
             Body += E;
           }
@@ -198,12 +194,8 @@ private:
 
 class ConstraintFileParser {
 public:
-  explicit ConstraintFileParser(const std::string &Src) : Lex(Src) {
-    advance();
-  }
-
-  /// Context-seeded parsing for session deltas: start from \p Base's
-  /// variables and the caller's let-bindings instead of an empty instance.
+  /// Parsing starts from \p Base's variables and constraints and the
+  /// caller's let-bindings (both empty for a standalone file).
   ConstraintFileParser(const std::string &Src, const Problem &Base,
                        const std::map<std::string, Nfa> &Lets)
       : Lex(Src), Constants(Lets) {
@@ -311,9 +303,20 @@ private:
 
   /// Parses a constant language: /re/, "literal", search(/re/), or a
   /// let-bound name.
-  bool parseConstantLanguage(Nfa &Out, std::string *NameOut = nullptr) {
+  bool parseConstantLanguage(Nfa &Out) {
     switch (Cur.Kind) {
-    case TokKind::Regex: {
+    case TokKind::Regex:
+    case TokKind::KwSearch: {
+      bool Search = Cur.Kind == TokKind::KwSearch;
+      if (Search) {
+        advance();
+        if (!expect(TokKind::LParen, "'('"))
+          return false;
+        if (Cur.Kind != TokKind::Regex) {
+          fail("expected regex literal inside search()");
+          return false;
+        }
+      }
       // Constraint files use the extended dialect (& intersection,
       // ~ complement); see RegexParser.h.
       RegexParseResult R = parseRegexExtended(Cur.Text);
@@ -321,33 +324,14 @@ private:
         fail("regex error: " + R.Error);
         return false;
       }
-      Out = compileRegex(*R.Ast);
+      Out = Search ? searchLanguage(R) : compileRegex(*R.Ast);
       advance();
-      return true;
+      return !Search || expect(TokKind::RParen, "')'");
     }
     case TokKind::String:
       Out = Nfa::literal(Cur.Text);
-      if (NameOut)
-        *NameOut = "";
       advance();
       return true;
-    case TokKind::KwSearch: {
-      advance();
-      if (!expect(TokKind::LParen, "'('"))
-        return false;
-      if (Cur.Kind != TokKind::Regex) {
-        fail("expected regex literal inside search()");
-        return false;
-      }
-      RegexParseResult R = parseRegexExtended(Cur.Text);
-      if (!R.ok()) {
-        fail("regex error: " + R.Error);
-        return false;
-      }
-      Out = searchLanguage(R);
-      advance();
-      return expect(TokKind::RParen, "')'");
-    }
     case TokKind::Ident: {
       auto It = Constants.find(Cur.Text);
       if (It == Constants.end()) {
@@ -355,8 +339,6 @@ private:
         return false;
       }
       Out = It->second;
-      if (NameOut)
-        *NameOut = Cur.Text;
       advance();
       return true;
     }
@@ -418,7 +400,8 @@ private:
 } // namespace
 
 ConstraintParseResult dprle::parseConstraintText(const std::string &Text) {
-  return ConstraintFileParser(Text).run();
+  std::map<std::string, Nfa> Lets;
+  return parseConstraintDelta(Text, Problem(), Lets);
 }
 
 ConstraintParseResult

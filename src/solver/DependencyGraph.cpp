@@ -24,24 +24,16 @@ NodeId DependencyGraph::addNode(NodeKind Kind, std::string Name) {
 DependencyGraph DependencyGraph::build(const Problem &P,
                                        bool CanonicalizeConstants,
                                        Executor *Exec) {
-  return buildImpl(P, CanonicalizeConstants, nullptr, 0, nullptr, Exec);
+  return rebuild(P, CanonicalizeConstants, DependencyGraph(), 0, nullptr,
+                 Exec);
 }
 
 DependencyGraph DependencyGraph::rebuild(const Problem &P,
                                          bool CanonicalizeConstants,
                                          DependencyGraph &&Old,
                                          size_t StablePrefix,
-                                         uint64_t *ConstantsReused) {
-  return buildImpl(P, CanonicalizeConstants, &Old, StablePrefix,
-                   ConstantsReused, nullptr);
-}
-
-DependencyGraph DependencyGraph::buildImpl(const Problem &P,
-                                           bool CanonicalizeConstants,
-                                           DependencyGraph *Old,
-                                           size_t StablePrefix,
-                                           uint64_t *ConstantsReused,
-                                           Executor *Exec) {
+                                         uint64_t *ConstantsReused,
+                                         Executor *Exec) {
   DPRLE_TRACE_SPAN("build_dependency_graph");
   DependencyGraph G;
 
@@ -73,7 +65,7 @@ DependencyGraph DependencyGraph::buildImpl(const Problem &P,
     ++ConstCounter;
     NodeId N = G.addNode(NodeKind::Constant, NodeName);
     if (ReuseThisConstraint && OldConstIdx < OldSpanConstants.size()) {
-      G.Constants[N] = std::move(Old->Constants[OldSpanConstants[OldConstIdx]]);
+      G.Constants[N] = std::move(Old.Constants[OldSpanConstants[OldConstIdx]]);
       ++OldConstIdx;
       if (ConstantsReused)
         ++*ConstantsReused;
@@ -88,12 +80,12 @@ DependencyGraph DependencyGraph::buildImpl(const Problem &P,
     assert(!C.Lhs.empty() && "constraint with empty left-hand side");
     NodeId SpanBegin = static_cast<NodeId>(G.numNodes());
     ReuseThisConstraint =
-        Old && CIdx < StablePrefix && CIdx < Old->ConstraintSpans.size();
+        CIdx < StablePrefix && CIdx < Old.ConstraintSpans.size();
     if (ReuseThisConstraint) {
-      auto [First, Count] = Old->ConstraintSpans[CIdx];
+      auto [First, Count] = Old.ConstraintSpans[CIdx];
       OldSpanConstants.clear();
       for (uint32_t I = 0; I != Count; ++I)
-        if (Old->kind(First + I) == NodeKind::Constant)
+        if (Old.kind(First + I) == NodeKind::Constant)
           OldSpanConstants.push_back(First + I);
       OldConstIdx = 0;
     }

@@ -91,9 +91,12 @@ public:
   ///
   /// \param ConstantsReused if non-null, receives the number of constant
   /// machines moved over from \p Old.
+  /// \param Exec normalizes the remaining constants concurrently, as in
+  /// build().
   static DependencyGraph rebuild(const Problem &P, bool CanonicalizeConstants,
                                  DependencyGraph &&Old, size_t StablePrefix,
-                                 uint64_t *ConstantsReused = nullptr);
+                                 uint64_t *ConstantsReused = nullptr,
+                                 Executor *Exec = nullptr);
 
   unsigned numNodes() const { return Kinds.size(); }
   NodeKind kind(NodeId N) const { return Kinds[N]; }
@@ -142,11 +145,6 @@ public:
 
 private:
   NodeId addNode(NodeKind Kind, std::string Name);
-
-  static DependencyGraph buildImpl(const Problem &P,
-                                   bool CanonicalizeConstants,
-                                   DependencyGraph *Old, size_t StablePrefix,
-                                   uint64_t *ConstantsReused, Executor *Exec);
 
   std::vector<NodeKind> Kinds;
   std::vector<std::string> Names;

@@ -56,11 +56,11 @@ private:
                                    const std::vector<size_t> &Digits,
                                    const std::vector<NodeId> &Vars) const;
 
-  /// Dedups \p Candidate against the accepted solutions and appends it.
-  /// Returns true when MaxSolutions has been reached (stop enumerating).
-  /// Serial-only: called on the enumerating thread, in combination order.
-  bool acceptCandidate(std::map<NodeId, Nfa> &&Candidate,
-                       const std::vector<NodeId> &Vars);
+  /// Counts \p O and, when it is valid, dedups its candidate against the
+  /// accepted solutions and appends it. Returns true when MaxSolutions has
+  /// been reached (stop enumerating). Serial-only: called on the
+  /// enumerating thread, in combination order.
+  bool acceptOutcome(ComboOutcome &&O, const std::vector<NodeId> &Vars);
 
   void enumerateSerial(const std::vector<ChoicePoint> &Choices,
                        const std::vector<NodeId> &Vars);
@@ -79,15 +79,10 @@ private:
   /// true when the run must stop. Cancellation wins the tie so a deadline
   /// that expires while the budget trips still reports as timeout.
   bool interrupted() {
-    if (cancelled()) {
-      Result.Cancelled = true;
-      return true;
-    }
-    if (Opts.Budget && Opts.Budget->exhausted()) {
-      Result.ResourceExhausted = true;
-      return true;
-    }
-    return false;
+    if (!unwinding())
+      return false;
+    (cancelled() ? Result.Cancelled : Result.ResourceExhausted) = true;
+    return true;
   }
 
   /// One flattened constraint of the group: the term sequence of a root's
@@ -432,8 +427,14 @@ GciRun::evaluateCombination(const std::vector<ChoicePoint> &Choices,
   return Out;
 }
 
-bool GciRun::acceptCandidate(std::map<NodeId, Nfa> &&Candidate,
-                             const std::vector<NodeId> &Vars) {
+bool GciRun::acceptOutcome(ComboOutcome &&O,
+                           const std::vector<NodeId> &Vars) {
+  ++Result.CombinationsTried;
+  if (O.Rejected)
+    ++Result.CombinationsRejectedByVerification;
+  if (!O.Valid)
+    return false;
+  std::map<NodeId, Nfa> &Candidate = O.Candidate;
   if (Opts.DedupSolutions) {
     for (const auto &Existing : Result.Solutions) {
       bool Same = true;
@@ -456,13 +457,8 @@ void GciRun::enumerateSerial(const std::vector<ChoicePoint> &Choices,
   // Odometer over all_combinations (Figure 8 line 15).
   std::vector<size_t> Odometer(Choices.size(), 0);
   while (true) {
-    if (interrupted())
-      return;
-    ++Result.CombinationsTried;
-    ComboOutcome O = evaluateCombination(Choices, Odometer, Vars);
-    if (O.Rejected)
-      ++Result.CombinationsRejectedByVerification;
-    if (O.Valid && acceptCandidate(std::move(O.Candidate), Vars))
+    if (interrupted() ||
+        acceptOutcome(evaluateCombination(Choices, Odometer, Vars), Vars))
       return;
 
     // Advance the odometer.
@@ -508,13 +504,9 @@ void GciRun::enumerateParallel(const std::vector<ChoicePoint> &Choices,
     });
     if (interrupted())
       return;
-    for (ComboOutcome &O : Outcomes) {
-      ++Result.CombinationsTried;
-      if (O.Rejected)
-        ++Result.CombinationsRejectedByVerification;
-      if (O.Valid && acceptCandidate(std::move(O.Candidate), Vars))
+    for (ComboOutcome &O : Outcomes)
+      if (acceptOutcome(std::move(O), Vars))
         return;
-    }
   }
 }
 

@@ -3,17 +3,12 @@
 #include "solver/Session.h"
 
 #include "automata/Decide.h"
-#include "automata/NfaOps.h"
 #include "automata/OpStats.h"
 #include "solver/ConstraintParser.h"
-#include "solver/DependencyGraph.h"
-#include "solver/Gci.h"
-#include "support/Debug.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace dprle;
 
@@ -67,6 +62,16 @@ void appendMachine(std::string &Out, const Nfa &M) {
   Out += Enc;
 }
 
+/// NodeId -> position within \p Group.
+std::unordered_map<NodeId, uint32_t>
+positions(const std::vector<NodeId> &Group) {
+  std::unordered_map<NodeId, uint32_t> PosOf;
+  PosOf.reserve(Group.size());
+  for (uint32_t I = 0; I != Group.size(); ++I)
+    PosOf.emplace(Group[I], I);
+  return PosOf;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -90,27 +95,16 @@ void SolverSession::push() {
 
 bool SolverSession::push(const std::string &DeltaText, std::string *Error,
                          size_t *ErrorLine) {
-  std::map<std::string, Nfa> NewLets = Lets;
-  ConstraintParseResult Parsed =
-      parseConstraintDelta(DeltaText, Current, NewLets);
-  if (!Parsed.Ok) {
-    if (Error)
-      *Error = Parsed.Error;
-    if (ErrorLine)
-      *ErrorLine = Parsed.ErrorLine;
-    return false;
-  }
-  Frames.push_back(
-      {Current.numVariables(), Current.constraints().size(), std::move(Lets)});
-  Lets = std::move(NewLets);
-  Current = std::move(Parsed.Instance);
-  // The delta only appended, so the unchanged-prefix watermark stands.
-  ++SessionStats::global().Pushes;
-  return true;
+  return apply(DeltaText, /*OpenFrame=*/true, Error, ErrorLine);
 }
 
 bool SolverSession::assertText(const std::string &Text, std::string *Error,
                                size_t *ErrorLine) {
+  return apply(Text, /*OpenFrame=*/false, Error, ErrorLine);
+}
+
+bool SolverSession::apply(const std::string &Text, bool OpenFrame,
+                          std::string *Error, size_t *ErrorLine) {
   std::map<std::string, Nfa> NewLets = Lets;
   ConstraintParseResult Parsed = parseConstraintDelta(Text, Current, NewLets);
   if (!Parsed.Ok) {
@@ -120,6 +114,12 @@ bool SolverSession::assertText(const std::string &Text, std::string *Error,
       *ErrorLine = Parsed.ErrorLine;
     return false;
   }
+  if (OpenFrame) {
+    Frames.push_back({Current.numVariables(), Current.constraints().size(),
+                      std::move(Lets)});
+    ++SessionStats::global().Pushes;
+  }
+  // The text only appended, so the unchanged-prefix watermark stands.
   Lets = std::move(NewLets);
   Current = std::move(Parsed.Instance);
   return true;
@@ -151,14 +151,55 @@ void SolverSession::addConstraint(std::vector<Term> Lhs, Nfa Rhs,
 void SolverSession::invalidate() {
   Graph.reset();
   StablePrefix = 0;
-  GroupCache.clear();
-  FreeVarCache.clear();
-  SubsetOkCache.clear();
+  Reuse.clear();
 }
 
 //===----------------------------------------------------------------------===//
-// Group fingerprints
+// ReuseTable
 //===----------------------------------------------------------------------===//
+
+void ReuseTable::clear() {
+  Groups.clear();
+  FreeVars.clear();
+  SubsetOk.clear();
+}
+
+bool ReuseTable::knownSubset(const Nfa &Sub, const Nfa &Super,
+                             std::string &Key) {
+  appendMachine(Key, Sub);
+  appendMachine(Key, Super);
+  if (!SubsetOk.count(Key))
+    return false;
+  ++Info.SubsetChecksReused;
+  return true;
+}
+
+void ReuseTable::storeSubset(std::string Key) {
+  if (SubsetOk.size() >= MaxCachedSubsetChecks)
+    SubsetOk.clear();
+  SubsetOk.insert(std::move(Key));
+}
+
+const Nfa *ReuseTable::findFreeVar(const DependencyGraph &G,
+                                   const std::vector<NodeId> &Constraining,
+                                   const SolverOptions &Opts,
+                                   std::string &Key) {
+  ++Info.FreeVarsTotal;
+  Key.push_back(Opts.MinimizeIntermediates ? 1 : 0);
+  for (NodeId C : Constraining)
+    appendMachine(Key, G.constantLanguage(C));
+  auto It = FreeVars.find(Key);
+  if (It == FreeVars.end())
+    return nullptr;
+  ++Info.FreeVarsReused;
+  return &It->second;
+}
+
+void ReuseTable::storeFreeVar(std::string Key, const Nfa &Language) {
+  if (FreeVars.size() >= MaxCachedFreeVars)
+    FreeVars.clear();
+  FreeVars.emplace(std::move(Key), Language);
+}
 
 /// The content key of one CI-group: node kinds and constant machines in
 /// group (topological) order, concat/subset edge shape expressed in
@@ -168,16 +209,18 @@ void SolverSession::invalidate() {
 /// group-locally, and NodeIds only ever matter through their relative
 /// order), so cached solutions remapped by position are bit-identical to a
 /// re-solve.
-std::string SolverSession::groupKey(const DependencyGraph &G,
-                                    const std::vector<NodeId> &Group,
-                                    size_t EffectiveMaxSolutions) const {
-  std::string Key;
+bool ReuseTable::findGroup(const DependencyGraph &G,
+                           const std::vector<NodeId> &Group,
+                           const SolverOptions &Opts, std::string &Key,
+                           GciResult &Out) {
+  ++Info.GroupsTotal;
+  if (std::any_of(Group.begin(), Group.end(),
+                  [&](NodeId N) { return Dirty[N]; }))
+    ++Info.DirtyGroups;
+
   Key.reserve(64 + Group.size() * 16);
   appendU64(Key, Group.size());
-  std::unordered_map<NodeId, uint32_t> PosOf;
-  PosOf.reserve(Group.size());
-  for (uint32_t I = 0; I != Group.size(); ++I)
-    PosOf.emplace(Group[I], I);
+  std::unordered_map<NodeId, uint32_t> PosOf = positions(Group);
   for (NodeId N : Group) {
     Key.push_back(static_cast<char>(G.kind(N)));
     if (G.kind(N) == NodeKind::Constant)
@@ -202,12 +245,39 @@ std::string SolverSession::groupKey(const DependencyGraph &G,
     for (NodeId C : Constraining)
       appendMachine(Key, G.constantLanguage(C));
   }
-  appendU64(Key, EffectiveMaxSolutions);
+  appendU64(Key, Opts.MaxSolutions);
   Key.push_back(Opts.MinimizeIntermediates ? 1 : 0);
   Key.push_back(Opts.DedupSolutions ? 1 : 0);
   Key.push_back(Opts.MaximizeSolutions ? 1 : 0);
   Key.push_back(Opts.CanonicalizeConstants ? 1 : 0);
-  return Key;
+
+  auto It = Groups.find(Key);
+  if (It == Groups.end())
+    return false;
+  ++Info.GroupsReused;
+  Out = It->second;
+  for (std::map<NodeId, Nfa> &Sol : Out.Solutions) {
+    std::map<NodeId, Nfa> Remapped;
+    for (auto &[Pos, Lang] : Sol)
+      Remapped.emplace(Group[Pos], std::move(Lang));
+    Sol = std::move(Remapped);
+  }
+  return true;
+}
+
+void ReuseTable::storeGroup(std::string Key, const std::vector<NodeId> &Group,
+                            const GciResult &Result) {
+  std::unordered_map<NodeId, uint32_t> PosOf = positions(Group);
+  GciResult Entry = Result;
+  for (std::map<NodeId, Nfa> &Sol : Entry.Solutions) {
+    std::map<NodeId, Nfa> Positional;
+    for (auto &[N, Lang] : Sol)
+      Positional.emplace(PosOf.at(N), std::move(Lang));
+    Sol = std::move(Positional);
+  }
+  if (Groups.size() >= MaxCachedGroups)
+    Groups.clear();
+  Groups.emplace(std::move(Key), std::move(Entry));
 }
 
 //===----------------------------------------------------------------------===//
@@ -217,7 +287,8 @@ std::string SolverSession::groupKey(const DependencyGraph &G,
 SolveResult SolverSession::check(const SessionCheckOptions &CO) {
   DPRLE_TRACE_SPAN("session_check");
   ++SessionStats::global().Checks;
-  LastInfo = SessionCheckInfo();
+  SessionCheckInfo &Info = Reuse.Info;
+  Info = SessionCheckInfo();
 
   // The effective options of this check: the session configuration plus
   // the per-check token/budget/solution-cap.
@@ -228,12 +299,8 @@ SolveResult SolverSession::check(const SessionCheckOptions &CO) {
     EOpts.MaxSolutions = CO.MaxSolutions;
 
   ResourceGuard BudgetScope(EOpts.Budget);
-
   Timer Clock;
   uint64_t StatesBefore = OpStats::global().totalStatesVisited();
-
-  SolveResult Result;
-  Result.Stats.NumConstraints = Current.constraints().size();
 
   // --- Stage 1: the dependency graph, rebuilt incrementally. -------------
   //
@@ -242,63 +309,23 @@ SolveResult SolverSession::check(const SessionCheckOptions &CO) {
   // re-minimized. The result is bit-identical to a cold build.
   size_t Prefix =
       Graph ? std::min(StablePrefix, Current.constraints().size()) : 0;
-  LastInfo.Incremental = Graph.has_value();
-  LastInfo.DirtyConstraints = Current.constraints().size() - Prefix;
-  uint64_t ConstantsReused = 0;
-  DependencyGraph G =
-      Graph ? DependencyGraph::rebuild(Current, Opts.CanonicalizeConstants,
-                                       std::move(*Graph), Prefix,
-                                       &ConstantsReused)
-            : DependencyGraph::build(Current, Opts.CanonicalizeConstants);
+  Info.Incremental = Graph.has_value();
+  Info.DirtyConstraints = Current.constraints().size() - Prefix;
+  DependencyGraph G = DependencyGraph::rebuild(
+      Current, Opts.CanonicalizeConstants,
+      Graph ? std::move(*Graph) : DependencyGraph(), Prefix,
+      &Info.ConstantsReused, Opts.Jobs > 1 ? Opts.Exec : nullptr);
   Graph.reset();
-  LastInfo.ConstantsReused = ConstantsReused;
-  SessionStats::global().ConstantsReused += ConstantsReused;
-  Result.Stats.NumNodes = G.numNodes();
-
-  auto Finish = [&](bool Satisfiable) -> SolveResult & {
-    Result.Satisfiable = Satisfiable;
-    Result.Stats.SolveSeconds = Clock.seconds();
-    Result.Stats.StatesVisited =
-        OpStats::global().totalStatesVisited() - StatesBefore;
-    if (Result.Cancelled || Result.ResourceExhausted) {
-      // An interrupted check may have truncated machines in the graph it
-      // built; retaining it would poison the next incremental rebuild.
-      // The content caches only ever hold completed results, so they
-      // survive.
-      Graph.reset();
-      StablePrefix = 0;
-    } else {
-      Graph = std::move(G);
-      StablePrefix = Current.constraints().size();
-    }
-    SessionStats::global().GroupsTotal += LastInfo.GroupsTotal;
-    SessionStats::global().GroupsReused += LastInfo.GroupsReused;
-    SessionStats::global().FreeVarsReused += LastInfo.FreeVarsReused;
-    return Result;
-  };
-  auto Cancelled = [&] { return EOpts.Cancel && EOpts.Cancel->cancelled(); };
-  auto FinishCancelled = [&]() -> SolveResult & {
-    Result.Cancelled = true;
-    return Finish(false);
-  };
-  auto Exhausted = [&] { return EOpts.Budget && EOpts.Budget->exhausted(); };
-  auto FinishExhausted = [&]() -> SolveResult & {
-    Result.ResourceExhausted = true;
-    return Finish(false);
-  };
-  auto Interrupted = [&] { return Cancelled() || Exhausted(); };
-  auto FinishInterrupted = [&]() -> SolveResult & {
-    return Cancelled() ? FinishCancelled() : FinishExhausted();
-  };
+  SessionStats::global().ConstantsReused += Info.ConstantsReused;
 
   // --- Dirty region: forward reachability from the delta. ----------------
   //
   // Seeds are the nodes the changed constraints contributed plus the
   // variable nodes they reference; dirtiness then propagates forward over
   // concat edges (an operand's change reaches every machine built from
-  // it). A CI-group containing any dirty node must re-solve unless its
-  // content matches a cached group.
-  std::vector<bool> Dirty(G.numNodes(), false);
+  // it). Reuse is decided by content, so this only feeds DirtyGroups.
+  std::vector<bool> &Dirty = Reuse.Dirty;
+  Dirty.assign(G.numNodes(), false);
   for (size_t CIdx = Prefix; CIdx < Current.constraints().size(); ++CIdx) {
     auto [First, Count] = G.constraintSpan(CIdx);
     for (uint32_t I = 0; I != Count; ++I)
@@ -317,241 +344,23 @@ SolveResult SolverSession::check(const SessionCheckOptions &CO) {
     }
   }
 
-  // --- Stage 2: reduce, splicing cached verdicts and languages. ----------
-  std::vector<Nfa> FreeLanguage(Current.numVariables());
-  std::vector<bool> IsFree(Current.numVariables(), false);
-  {
-    DPRLE_TRACE_SPAN("reduce");
-    for (const SubsetEdge &E : G.subsetEdges()) {
-      if (Interrupted())
-        return FinishInterrupted();
-      if (G.kind(E.To) != NodeKind::Constant)
-        continue;
-      // Constant-vs-constant inclusion is a pure function of the two
-      // machines; a previously passed pair is skipped. Failed pairs are
-      // never cached (the check returns unsat before reaching them
-      // again), so a skip can never mask a violation the cold solver
-      // would have reported.
-      std::string PairKey;
-      appendMachine(PairKey, G.constantLanguage(E.To));
-      appendMachine(PairKey, G.constantLanguage(E.From));
-      if (SubsetOkCache.count(PairKey)) {
-        ++LastInfo.SubsetChecksReused;
-        continue;
-      }
-      if (!isSubsetOf(G.constantLanguage(E.To), G.constantLanguage(E.From))) {
-        // A truncated (budget-exhausted) subset check proves nothing.
-        if (Exhausted())
-          return FinishExhausted();
-        DPRLE_DEBUG_LOG("session", Os << "constant inclusion " << G.name(E.To)
-                                      << " <= " << G.name(E.From)
-                                      << " is violated");
-        return Finish(false);
-      }
-      if (SubsetOkCache.size() >= MaxCachedSubsetChecks)
-        SubsetOkCache.clear();
-      SubsetOkCache.insert(std::move(PairKey));
-    }
+  // --- Stages 2-4: the cold solver's pipeline, splicing from the table. --
+  SolveResult Result = solvePipeline(Current, G, EOpts, nullptr, &Reuse);
+  Result.Stats.SolveSeconds = Clock.seconds();
+  Result.Stats.StatesVisited =
+      OpStats::global().totalStatesVisited() - StatesBefore;
 
-    for (VarId V = 0; V != Current.numVariables(); ++V) {
-      if (Interrupted())
-        return FinishInterrupted();
-      NodeId N = G.nodeForVariable(V);
-      if (G.inAnyConcat(N))
-        continue;
-      IsFree[V] = true;
-      ++LastInfo.FreeVarsTotal;
-      std::vector<NodeId> Constraining = G.subsetConstraintsOn(N);
-      std::string VarKey;
-      VarKey.push_back(Opts.MinimizeIntermediates ? 1 : 0);
-      for (NodeId C : Constraining)
-        appendMachine(VarKey, G.constantLanguage(C));
-      auto It = FreeVarCache.find(VarKey);
-      if (It != FreeVarCache.end()) {
-        // Cached languages are complete (never stored under a tripped
-        // budget) and non-empty (empty ones end the check unsat before
-        // being stored).
-        FreeLanguage[V] = It->second;
-        Result.Stats.SubsetIntersections += Constraining.size();
-        ++LastInfo.FreeVarsReused;
-        continue;
-      }
-      Nfa M = Nfa::sigmaStar();
-      for (NodeId C : Constraining) {
-        M = intersect(M, G.constantLanguage(C)).trimmed();
-        ++Result.Stats.SubsetIntersections;
-      }
-      if (Opts.MinimizeIntermediates)
-        M = minimized(M);
-      // A machine truncated by the budget can be spuriously empty; unwind
-      // before the emptiness check turns that into a false "unsat".
-      if (Exhausted())
-        return FinishExhausted();
-      if (isEmpty(M)) {
-        DPRLE_DEBUG_LOG("session",
-                        Os << "variable " << Current.variableName(V)
-                           << " has empty language");
-        return Finish(false);
-      }
-      if (FreeVarCache.size() >= MaxCachedFreeVars)
-        FreeVarCache.clear();
-      FreeVarCache.emplace(std::move(VarKey), M);
-      FreeLanguage[V] = std::move(M);
-    }
+  // An interrupted check may have truncated machines in the graph it
+  // built; retaining it would poison the next incremental rebuild. The
+  // table only ever holds completed results, so it survives.
+  if (Result.Cancelled || Result.ResourceExhausted) {
+    StablePrefix = 0;
+  } else {
+    Graph = std::move(G);
+    StablePrefix = Current.constraints().size();
   }
-
-  // --- Stage 3: CI-groups — splice cached results, solve the rest. -------
-  std::vector<std::vector<NodeId>> Groups = G.ciGroups();
-  Result.Stats.GciGroups = Groups.size();
-  LastInfo.GroupsTotal = Groups.size();
-
-  GciOptions GOpts;
-  GOpts.MaxSolutions = EOpts.MaxSolutions;
-  GOpts.MinimizeIntermediates = EOpts.MinimizeIntermediates;
-  GOpts.DedupSolutions = EOpts.DedupSolutions;
-  GOpts.MaximizeSolutions = EOpts.MaximizeSolutions;
-  GOpts.Jobs = EOpts.Jobs;
-  GOpts.Exec = EOpts.Exec;
-  GOpts.Cancel = EOpts.Cancel;
-  GOpts.Budget = EOpts.Budget;
-
-  // Fingerprint every group and find the cache misses. Clean groups (no
-  // dirty node) hit by construction — their content is unchanged since the
-  // last completed check stored it (unless the bounded cache flushed).
-  std::vector<std::string> Keys(Groups.size());
-  std::vector<const CachedGroup *> Hits(Groups.size(), nullptr);
-  std::vector<size_t> Missing;
-  for (size_t I = 0; I != Groups.size(); ++I) {
-    bool GroupDirty = false;
-    for (NodeId N : Groups[I])
-      GroupDirty = GroupDirty || Dirty[N];
-    if (GroupDirty)
-      ++LastInfo.DirtyGroups;
-    Keys[I] = groupKey(G, Groups[I], EOpts.MaxSolutions);
-    auto It = GroupCache.find(Keys[I]);
-    if (It != GroupCache.end())
-      Hits[I] = &It->second;
-    else
-      Missing.push_back(I);
-  }
-
-  // Solve the misses — concurrently when configured (they share no nodes);
-  // results merge in group order below, so assignments are identical at
-  // any job count. The serial path keeps the cold solver's early exit on
-  // the first empty group.
-  const bool ParallelGroups =
-      EOpts.Exec && EOpts.Jobs > 1 && Missing.size() > 1;
-  std::vector<GciResult> SolvedResults(Groups.size());
-  if (ParallelGroups)
-    EOpts.Exec->parallelFor(Missing.size(), [&](size_t I) {
-      SolvedResults[Missing[I]] = solveCiGroup(G, Groups[Missing[I]], GOpts);
-    });
-
-  std::vector<std::map<NodeId, Nfa>> Partials = {{}};
-  for (size_t GroupIdx = 0; GroupIdx != Groups.size(); ++GroupIdx) {
-    if (Interrupted())
-      return FinishInterrupted();
-    DPRLE_TRACE_SPAN("gci_group");
-    const std::vector<NodeId> &Group = Groups[GroupIdx];
-
-    // The group's disjunctive solutions: spliced from cache or solved now.
-    std::vector<std::map<NodeId, Nfa>> Solutions;
-    if (const CachedGroup *Cached = Hits[GroupIdx]) {
-      ++LastInfo.GroupsReused;
-      Solutions.reserve(Cached->Solutions.size());
-      for (const auto &Sol : Cached->Solutions) {
-        std::map<NodeId, Nfa> Remapped;
-        for (const auto &[Pos, Lang] : Sol)
-          Remapped.emplace(Group[Pos], Lang);
-        Solutions.push_back(std::move(Remapped));
-      }
-      // The cached stats contributions describe the logical solve the
-      // splice stands in for; merging them keeps the per-check solver
-      // stats comparable across warm and cold checks.
-      Result.Stats.ConcatsBuilt += Cached->ConcatsBuilt;
-      Result.Stats.SubsetIntersections += Cached->SubsetIntersections;
-      Result.Stats.CombinationsTried += Cached->CombinationsTried;
-      Result.Stats.CombinationsAccepted += Cached->CombinationsAccepted;
-      Result.Stats.CombinationsRejectedByVerification +=
-          Cached->CombinationsRejectedByVerification;
-    } else {
-      GciResult GR = ParallelGroups ? std::move(SolvedResults[GroupIdx])
-                                    : solveCiGroup(G, Group, GOpts);
-      if (GR.Cancelled)
-        return FinishCancelled();
-      if (GR.ResourceExhausted)
-        return FinishExhausted();
-      Result.Stats.ConcatsBuilt += GR.ConcatsBuilt;
-      Result.Stats.SubsetIntersections += GR.SubsetIntersections;
-      Result.Stats.CombinationsTried += GR.CombinationsTried;
-      Result.Stats.CombinationsAccepted += GR.CombinationsAccepted;
-      Result.Stats.CombinationsRejectedByVerification +=
-          GR.CombinationsRejectedByVerification;
-
-      // File the completed result under the group's content key, with
-      // NodeIds rewritten to group positions so a future check under a
-      // different numbering can splice it. Unsatisfiable (empty) results
-      // are cached too — re-deciding a known-empty group is as wasteful
-      // as re-deciding a solved one.
-      std::unordered_map<NodeId, uint32_t> PosOf;
-      PosOf.reserve(Group.size());
-      for (uint32_t I = 0; I != Group.size(); ++I)
-        PosOf.emplace(Group[I], I);
-      CachedGroup Entry;
-      Entry.ConcatsBuilt = GR.ConcatsBuilt;
-      Entry.SubsetIntersections = GR.SubsetIntersections;
-      Entry.CombinationsTried = GR.CombinationsTried;
-      Entry.CombinationsAccepted = GR.CombinationsAccepted;
-      Entry.CombinationsRejectedByVerification =
-          GR.CombinationsRejectedByVerification;
-      Entry.Solutions.reserve(GR.Solutions.size());
-      for (const auto &Sol : GR.Solutions) {
-        std::vector<std::pair<uint32_t, Nfa>> Positional;
-        Positional.reserve(Sol.size());
-        for (const auto &[N, Lang] : Sol)
-          Positional.emplace_back(PosOf.at(N), Lang);
-        Entry.Solutions.push_back(std::move(Positional));
-      }
-      if (GroupCache.size() >= MaxCachedGroups)
-        GroupCache.clear();
-      GroupCache.emplace(Keys[GroupIdx], std::move(Entry));
-      Solutions = std::move(GR.Solutions);
-    }
-
-    if (Solutions.empty())
-      return Finish(false);
-    std::vector<std::map<NodeId, Nfa>> Next;
-    for (const auto &Partial : Partials) {
-      for (const auto &GroupSolution : Solutions) {
-        if (Next.size() >= EOpts.MaxSolutions)
-          break;
-        ++Result.Stats.WorklistIterations;
-        std::map<NodeId, Nfa> Merged = Partial;
-        Merged.insert(GroupSolution.begin(), GroupSolution.end());
-        Next.push_back(std::move(Merged));
-      }
-      if (Next.size() >= EOpts.MaxSolutions)
-        break;
-    }
-    Partials = std::move(Next);
-  }
-
-  // --- Stage 4: assemble assignments (identical to the cold solver). -----
-  if (Interrupted())
-    return FinishInterrupted();
-  DPRLE_TRACE_SPAN("assemble");
-  for (const auto &Partial : Partials) {
-    std::vector<Nfa> Languages(Current.numVariables());
-    for (VarId V = 0; V != Current.numVariables(); ++V) {
-      if (IsFree[V]) {
-        Languages[V] = FreeLanguage[V];
-        continue;
-      }
-      auto It = Partial.find(G.nodeForVariable(V));
-      assert(It != Partial.end() && "group variable missing from solution");
-      Languages[V] = It->second;
-    }
-    Result.Assignments.emplace_back(std::move(Languages));
-  }
-  return Finish(!Result.Assignments.empty());
+  SessionStats::global().GroupsTotal += Info.GroupsTotal;
+  SessionStats::global().GroupsReused += Info.GroupsReused;
+  SessionStats::global().FreeVarsReused += Info.FreeVarsReused;
+  return Result;
 }

@@ -8,18 +8,18 @@
 /// watermark the matching push() recorded, and check() decides the current
 /// flattened instance.
 ///
-/// check() is a warm-restart variant of Solver::solve: it diffs the
-/// asserted constraints against the last solved state, rebuilds the
+/// check() *is* the cold pipeline plus a reuse table: it rebuilds the
 /// dependency graph incrementally (DependencyGraph::rebuild moves the
 /// already-normalized constant machines of the unchanged constraint prefix
-/// instead of re-minimizing them), computes the delta's dirty region by
-/// forward reachability over the concat edges, and re-runs reduce +
-/// solveCiGroup only for CI-groups whose content actually changed —
-/// splicing cached GciResults, reduce languages, and constant-inclusion
-/// verdicts for everything else. Caches are keyed by *content* (the same
-/// structural machine encoding as the DecisionCache plus group shape), so
-/// reuse survives pop(): re-asserting earlier state hits the cache even
-/// though the frame stack churned.
+/// instead of re-minimizing them) and runs the same solvePipeline() as
+/// Solver::solve (Solver.h), handing it the session's ReuseTable.
+/// Constant-inclusion verdicts, free-variable reduce languages, and
+/// CI-group results are looked up by *content* (the same structural
+/// machine encoding as the DecisionCache plus group shape), so reuse
+/// survives pop(): re-asserting earlier state hits the cache even though
+/// the frame stack churned. The delta's dirty region (forward reachability
+/// over the concat edges) is diagnostic only: it feeds
+/// SessionCheckInfo::DirtyGroups.
 ///
 /// Equivalence guarantee: a completed check() returns verdicts,
 /// assignments, and witness languages bit-identical to a cold
@@ -57,8 +57,6 @@
 #include <vector>
 
 namespace dprle {
-
-class DependencyGraph;
 
 /// Process-wide session.* counters (StatsRegistry; docs/OBSERVABILITY.md).
 /// The lifecycle counters (Opened/Closed/Evicted/Lost) are bumped by the
@@ -123,6 +121,56 @@ struct SessionCheckOptions {
   size_t MaxSolutions = 0;
 };
 
+/// The session's content-keyed warm caches, consulted by solvePipeline()
+/// (Solver.h) during a check: constant inclusions that held, free-variable
+/// reduce languages, and CI-group results. Keys are structural machine
+/// encodings plus group shape and the result-affecting options, never
+/// NodeIds. The pipeline files only completed results — nothing computed
+/// under a fired token or a tripped budget — and never a failed inclusion,
+/// so a hit cannot mask a violation the cold solver would report. Bounded:
+/// overflow flushes the offending cache wholesale.
+class ReuseTable {
+public:
+  /// The current check's diagnostics. The lookups below count their hits
+  /// here; the session fills the graph-rebuild fields.
+  SessionCheckInfo Info;
+  /// Per node of the current graph: whether it lies in the delta's dirty
+  /// region. Only counted (Info.DirtyGroups); hits are decided by content.
+  std::vector<bool> Dirty;
+
+  /// Drops every cached entry.
+  void clear();
+
+  /// True when `Sub ⊆ Super` is known to hold; otherwise \p Key receives
+  /// the pair's key for storeSubset().
+  bool knownSubset(const Nfa &Sub, const Nfa &Super, std::string &Key);
+  void storeSubset(std::string Key);
+
+  /// The reduce language of a free variable constrained by
+  /// \p Constraining, or null when unknown (\p Key then receives the key
+  /// for storeFreeVar()).
+  const Nfa *findFreeVar(const DependencyGraph &G,
+                         const std::vector<NodeId> &Constraining,
+                         const SolverOptions &Opts, std::string &Key);
+  void storeFreeVar(std::string Key, const Nfa &Language);
+
+  /// True when a result for \p Group is cached: \p Out receives it, with
+  /// NodeIds of \p Group. Otherwise \p Key receives the group's key for
+  /// storeGroup().
+  bool findGroup(const DependencyGraph &G, const std::vector<NodeId> &Group,
+                 const SolverOptions &Opts, std::string &Key, GciResult &Out);
+  void storeGroup(std::string Key, const std::vector<NodeId> &Group,
+                  const GciResult &Result);
+
+private:
+  /// Group results with NodeIds rewritten to positions within the
+  /// (topologically ordered) group, so a later check can splice them
+  /// under its own node numbering.
+  std::unordered_map<std::string, GciResult> Groups;
+  std::unordered_map<std::string, Nfa> FreeVars;
+  std::unordered_set<std::string> SubsetOk;
+};
+
 /// An incremental solving session; see the file comment.
 class SolverSession {
 public:
@@ -180,35 +228,24 @@ public:
   SolveResult check(const SessionCheckOptions &CO = {});
 
   /// Reuse diagnostics of the most recent check().
-  const SessionCheckInfo &lastCheckInfo() const { return LastInfo; }
+  const SessionCheckInfo &lastCheckInfo() const { return Reuse.Info; }
 
   /// Drops every warm cache and the retained dependency graph; the next
-  /// check() is cold. (Testing hook; also invoked internally when an
-  /// interrupted check leaves the retained graph untrustworthy.)
+  /// check() is cold. (Testing hook; an interrupted check drops only the
+  /// retained graph, since the table holds completed results only.)
   void invalidate();
 
 private:
+  /// Parses \p Text into the session (push(text) / assertText()), opening
+  /// a frame first when \p OpenFrame.
+  bool apply(const std::string &Text, bool OpenFrame, std::string *Error,
+             size_t *ErrorLine);
+
   struct Frame {
     unsigned NumVars = 0;
     size_t NumConstraints = 0;
     std::map<std::string, Nfa> Lets;
   };
-
-  /// One cached CI-group result: solveCiGroup's output with NodeIds
-  /// rewritten to positions within the (topologically ordered) group, so a
-  /// later check can splice it under its own node numbering.
-  struct CachedGroup {
-    std::vector<std::vector<std::pair<uint32_t, Nfa>>> Solutions;
-    uint64_t ConcatsBuilt = 0;
-    uint64_t SubsetIntersections = 0;
-    uint64_t CombinationsTried = 0;
-    uint64_t CombinationsAccepted = 0;
-    uint64_t CombinationsRejectedByVerification = 0;
-  };
-
-  std::string groupKey(const DependencyGraph &G,
-                       const std::vector<NodeId> &Group,
-                       size_t EffectiveMaxSolutions) const;
 
   SolverOptions Opts;
   Problem Current;
@@ -221,13 +258,8 @@ private:
   std::optional<DependencyGraph> Graph;
   size_t StablePrefix = 0;
 
-  /// Content-keyed warm caches; see groupKey() and check(). Bounded:
-  /// overflow flushes the offending cache wholesale.
-  std::unordered_map<std::string, CachedGroup> GroupCache;
-  std::unordered_map<std::string, Nfa> FreeVarCache;
-  std::unordered_set<std::string> SubsetOkCache;
-
-  SessionCheckInfo LastInfo;
+  /// Content-keyed results of earlier checks; also holds lastCheckInfo().
+  ReuseTable Reuse;
 };
 
 } // namespace dprle

@@ -4,6 +4,7 @@
 #include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "automata/OpStats.h"
+#include "solver/Session.h"
 #include "support/Debug.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -27,51 +28,56 @@ SolveResult Solver::solveImpl(const Problem &P,
   // Ambient budget for everything this thread builds; gci runs (including
   // the ones dispatched to pool workers) re-install it themselves.
   ResourceGuard BudgetScope(Opts.Budget);
+  Timer Clock;
+  uint64_t StatesBefore = OpStats::global().totalStatesVisited();
+
+  DependencyGraph G = DependencyGraph::build(
+      P, Opts.CanonicalizeConstants, Opts.Jobs > 1 ? Opts.Exec : nullptr);
+  SolveResult Result = solvePipeline(P, G, Opts, Of, /*Reuse=*/nullptr);
+  Result.Stats.SolveSeconds = Clock.seconds();
+  Result.Stats.StatesVisited =
+      OpStats::global().totalStatesVisited() - StatesBefore;
+  return Result;
+}
+
+SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
+                                 const SolverOptions &Opts,
+                                 const std::vector<VarId> *Of,
+                                 ReuseTable *Reuse) {
   // Which variables the client cares about (all by default).
   std::vector<bool> Queried(P.numVariables(), Of == nullptr);
   if (Of)
     for (VarId V : *Of)
       Queried[V] = true;
 
-  Timer Clock;
-  uint64_t StatesBefore = OpStats::global().totalStatesVisited();
-
   SolveResult Result;
   Result.Stats.NumConstraints = P.constraints().size();
-
-  DependencyGraph G = DependencyGraph::build(
-      P, Opts.CanonicalizeConstants, Opts.Jobs > 1 ? Opts.Exec : nullptr);
   Result.Stats.NumNodes = G.numNodes();
 
-  auto Finish = [&](bool Satisfiable) -> SolveResult & {
+  auto Finish = [&](bool Satisfiable) {
     Result.Satisfiable = Satisfiable;
-    Result.Stats.SolveSeconds = Clock.seconds();
-    Result.Stats.StatesVisited =
-        OpStats::global().totalStatesVisited() - StatesBefore;
-    return Result;
+    return std::move(Result);
+  };
+  // Unwinds unsatisfied with one status bit (Cancelled/ResourceExhausted).
+  auto Unwind = [&](bool &StatusBit) {
+    StatusBit = true;
+    return Finish(false);
   };
   auto Cancelled = [&] { return Opts.Cancel && Opts.Cancel->cancelled(); };
-  auto FinishCancelled = [&]() -> SolveResult & {
-    Result.Cancelled = true;
-    return Finish(false);
-  };
   auto Exhausted = [&] { return Opts.Budget && Opts.Budget->exhausted(); };
-  auto FinishExhausted = [&]() -> SolveResult & {
-    Result.ResourceExhausted = true;
-    return Finish(false);
-  };
   // Loop-header poll: cancellation wins the tie, so a deadline expiring
   // while the budget trips still reports as timeout.
   auto Interrupted = [&] { return Cancelled() || Exhausted(); };
-  auto FinishInterrupted = [&]() -> SolveResult & {
-    return Cancelled() ? FinishCancelled() : FinishExhausted();
+  auto FinishInterrupted = [&] {
+    return Unwind(Cancelled() ? Result.Cancelled : Result.ResourceExhausted);
   };
 
   // --- Stage 2: reduce acyclic constraints (Figure 7 lines 3-8). ---------
   //
   // Constant-vs-constant subset edges are pure checks; variables outside
   // every CI-group resolve to the intersection of their constraining
-  // constants.
+  // constants. Only completed results reach the reuse table: a passed
+  // inclusion under an untripped budget, a non-empty language.
   std::vector<Nfa> FreeLanguage(P.numVariables());
   std::vector<bool> IsFree(P.numVariables(), false);
   {
@@ -81,15 +87,22 @@ SolveResult Solver::solveImpl(const Problem &P,
         return FinishInterrupted();
       if (G.kind(E.To) != NodeKind::Constant)
         continue;
-      if (!isSubsetOf(G.constantLanguage(E.To), G.constantLanguage(E.From))) {
+      const Nfa &Sub = G.constantLanguage(E.To);
+      const Nfa &Super = G.constantLanguage(E.From);
+      std::string Key;
+      if (Reuse && Reuse->knownSubset(Sub, Super, Key))
+        continue;
+      if (!isSubsetOf(Sub, Super)) {
         // A truncated (budget-exhausted) subset check proves nothing.
         if (Exhausted())
-          return FinishExhausted();
+          return Unwind(Result.ResourceExhausted);
         DPRLE_DEBUG_LOG("solver", Os << "constant inclusion " << G.name(E.To)
                                      << " <= " << G.name(E.From)
                                      << " is violated");
         return Finish(false);
       }
+      if (Reuse && !Exhausted())
+        Reuse->storeSubset(std::move(Key));
     }
 
     for (VarId V = 0; V != P.numVariables(); ++V) {
@@ -104,8 +117,18 @@ SolveResult Solver::solveImpl(const Problem &P,
         FreeLanguage[V] = Nfa::sigmaStar();
         continue;
       }
+      std::vector<NodeId> Constraining = G.subsetConstraintsOn(N);
+      std::string Key;
+      if (const Nfa *Hit =
+              Reuse ? Reuse->findFreeVar(G, Constraining, Opts, Key)
+                    : nullptr) {
+        // The splice stands in for the same intersections.
+        FreeLanguage[V] = *Hit;
+        Result.Stats.SubsetIntersections += Constraining.size();
+        continue;
+      }
       Nfa M = Nfa::sigmaStar();
-      for (NodeId C : G.subsetConstraintsOn(N)) {
+      for (NodeId C : Constraining) {
         M = intersect(M, G.constantLanguage(C)).trimmed();
         ++Result.Stats.SubsetIntersections;
       }
@@ -114,7 +137,7 @@ SolveResult Solver::solveImpl(const Problem &P,
       // A machine truncated by the budget can be spuriously empty; unwind
       // before the emptiness check turns that into a false "unsat".
       if (Exhausted())
-        return FinishExhausted();
+        return Unwind(Result.ResourceExhausted);
       if (isEmpty(M)) {
         // A maximal satisfying assignment would map V to the empty
         // language; following Figure 7 lines 20-23 that is a failure.
@@ -122,6 +145,8 @@ SolveResult Solver::solveImpl(const Problem &P,
                                      << " has empty language");
         return Finish(false);
       }
+      if (Reuse)
+        Reuse->storeFreeVar(std::move(Key), M);
       FreeLanguage[V] = std::move(M);
     }
   }
@@ -144,31 +169,38 @@ SolveResult Solver::solveImpl(const Problem &P,
   GOpts.Budget = Opts.Budget;
 
   // The groups this solve actually runs (partial solving skips groups with
-  // no queried variable).
+  // no queried variable), each either spliced from the reuse table or
+  // still to solve.
   std::vector<const std::vector<NodeId> *> Selected;
   for (const std::vector<NodeId> &Group : Groups) {
-    if (Of) {
-      bool Relevant = false;
-      for (NodeId N : Group)
-        Relevant = Relevant || (G.kind(N) == NodeKind::Variable &&
-                                Queried[G.variable(N)]);
-      if (!Relevant)
-        continue;
-    }
-    Selected.push_back(&Group);
+    bool Relevant = !Of;
+    for (NodeId N : Group)
+      Relevant = Relevant ||
+                 (G.kind(N) == NodeKind::Variable && Queried[G.variable(N)]);
+    if (Relevant)
+      Selected.push_back(&Group);
+  }
+  std::vector<GciResult> GroupResults(Selected.size());
+  std::vector<std::string> Keys(Selected.size());
+  std::vector<bool> Spliced(Selected.size(), false);
+  std::vector<size_t> Missing;
+  for (size_t I = 0; I != Selected.size(); ++I) {
+    Spliced[I] = Reuse && Reuse->findGroup(G, *Selected[I], Opts, Keys[I],
+                                           GroupResults[I]);
+    if (!Spliced[I])
+      Missing.push_back(I);
   }
 
-  // With several jobs and several groups, solve the groups concurrently
+  // With several jobs and several groups to solve, solve them concurrently
   // (they share no nodes) and merge their results below in group order —
   // the worklist then combines the same per-group solution sets in the
   // same order as a serial run, so the assignments are identical. The
   // serial path keeps its early exit on the first empty group.
-  const bool ParallelGroups =
-      Opts.Exec && Opts.Jobs > 1 && Selected.size() > 1;
-  std::vector<GciResult> GroupResults(Selected.size());
+  const bool ParallelGroups = Opts.Exec && Opts.Jobs > 1 && Missing.size() > 1;
   if (ParallelGroups)
-    Opts.Exec->parallelFor(Selected.size(), [&](size_t I) {
-      GroupResults[I] = solveCiGroup(G, *Selected[I], GOpts);
+    Opts.Exec->parallelFor(Missing.size(), [&](size_t I) {
+      GroupResults[Missing[I]] =
+          solveCiGroup(G, *Selected[Missing[I]], GOpts);
     });
 
   std::vector<std::map<NodeId, Nfa>> Partials = {{}};
@@ -176,19 +208,26 @@ SolveResult Solver::solveImpl(const Problem &P,
     if (Interrupted())
       return FinishInterrupted();
     DPRLE_TRACE_SPAN("gci_group");
-    GciResult GR = ParallelGroups
+    const std::vector<NodeId> &Group = *Selected[GroupIdx];
+    GciResult GR = Spliced[GroupIdx] || ParallelGroups
                        ? std::move(GroupResults[GroupIdx])
-                       : solveCiGroup(G, *Selected[GroupIdx], GOpts);
+                       : solveCiGroup(G, Group, GOpts);
     if (GR.Cancelled)
-      return FinishCancelled();
+      return Unwind(Result.Cancelled);
     if (GR.ResourceExhausted)
-      return FinishExhausted();
+      return Unwind(Result.ResourceExhausted);
+    // A spliced result carries the counters of the solve it stands in
+    // for, so per-solve stats agree between warm and cold runs.
     Result.Stats.ConcatsBuilt += GR.ConcatsBuilt;
     Result.Stats.SubsetIntersections += GR.SubsetIntersections;
     Result.Stats.CombinationsTried += GR.CombinationsTried;
     Result.Stats.CombinationsAccepted += GR.CombinationsAccepted;
     Result.Stats.CombinationsRejectedByVerification +=
         GR.CombinationsRejectedByVerification;
+    // Unsatisfiable (empty) results are filed too: re-deciding a
+    // known-empty group is as wasteful as re-deciding a solved one.
+    if (Reuse && !Spliced[GroupIdx])
+      Reuse->storeGroup(std::move(Keys[GroupIdx]), Group, GR);
     if (GR.Solutions.empty())
       return Finish(false);
     std::vector<std::map<NodeId, Nfa>> Next;

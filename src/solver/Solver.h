@@ -18,6 +18,11 @@
 ///      rejected (Figure 7 lines 16-23); an exhausted worklist yields
 ///      "no assignments found".
 ///
+/// Stages 2-4 are one function, solvePipeline(), shared by the cold
+/// Solver and the incremental SolverSession (Session.h): a session check
+/// is the same pipeline over an incrementally rebuilt graph, handed a
+/// ReuseTable of content-keyed results from earlier checks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DPRLE_SOLVER_SOLVER_H
@@ -98,6 +103,19 @@ private:
 
   SolverOptions Opts;
 };
+
+class ReuseTable;
+
+/// Stages 2-4 of a solve over \p G, the dependency graph of \p P. \p Of,
+/// when non-null, restricts solving to the region solveFor() describes.
+/// \p Reuse, when non-null, splices results of earlier solves stored under
+/// the same content key and files every newly completed one; null is a
+/// cold solve. The caller installs \p Opts.Budget as the ambient
+/// ResourceGuard and stamps SolveSeconds/StatesVisited, since its clock
+/// also covers building \p G.
+SolveResult solvePipeline(const Problem &P, const DependencyGraph &G,
+                          const SolverOptions &Opts,
+                          const std::vector<VarId> *Of, ReuseTable *Reuse);
 
 } // namespace dprle
 

@@ -20,6 +20,7 @@
 #include "regex/RegexParser.h"
 #include "service/ThreadPool.h"
 #include "solver/ConstraintParser.h"
+#include "solver/Session.h"
 #include "solver/Solver.h"
 #include "support/Cancellation.h"
 
@@ -355,6 +356,53 @@ TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
     setMinimizeCacheEnabled(true);
     EXPECT_EQ(structuralEncoding(Cached), structuralEncoding(Fresh));
   }
+}
+
+TEST(BudgetTest, ParallelSessionRebuildTripReportsExhaustedAndCachesNothing) {
+  // The session twin of the test above: at jobs=4 an incremental rebuild
+  // canonicalizes a pushed delta's constants on pool workers. A state
+  // budget that trips there must surface as resource_exhausted, leave no
+  // truncated machine in the minimize cache, and drop the retained graph,
+  // so the next check is cold and equals the cold solve.
+  service::ThreadPool Pool(4);
+  SolverOptions Opts;
+  Opts.Jobs = 4;
+  Opts.Exec = &Pool;
+  SolverSession S(Opts);
+  std::string Error;
+  ASSERT_TRUE(S.assertText("var v, w, x; v . w <= /ab|ba/; x <= /a*/;",
+                           &Error))
+      << Error;
+  ASSERT_TRUE(S.check().Satisfiable);
+
+  std::string Delta;
+  for (unsigned N = 6; N != 10; ++N)
+    Delta += "v . w <= /(a|b)*a(a|b){" + std::to_string(N) + "}/;"
+             "x <= /(a|b)*b(a|b){" + std::to_string(N) + "}/;";
+  ASSERT_TRUE(S.push(Delta, &Error)) << Error;
+
+  clearMinimizeCache();
+  ResourceBudget Budget(statesLimit(100));
+  SessionCheckOptions CO;
+  CO.Budget = &Budget;
+  SolveResult R = S.check(CO);
+  EXPECT_TRUE(S.lastCheckInfo().Incremental);
+  EXPECT_TRUE(R.ResourceExhausted);
+  EXPECT_FALSE(R.Satisfiable);
+  Pool.waitIdle();
+  EXPECT_EQ(minimizeCacheSize(), 0u);
+
+  SolveResult Next = S.check();
+  EXPECT_FALSE(S.lastCheckInfo().Incremental);
+  SolveResult Cold = Solver().solve(S.problem());
+  EXPECT_FALSE(Next.ResourceExhausted);
+  EXPECT_EQ(Next.Satisfiable, Cold.Satisfiable);
+  ASSERT_EQ(Next.Assignments.size(), Cold.Assignments.size());
+  for (size_t A = 0; A != Cold.Assignments.size(); ++A)
+    for (VarId V = 0; V != S.problem().numVariables(); ++V)
+      EXPECT_EQ(structuralEncoding(Next.Assignments[A].language(V)),
+                structuralEncoding(Cold.Assignments[A].language(V)))
+          << "assignment " << A << ", variable " << V;
 }
 
 } // namespace

@@ -5,8 +5,9 @@
 //
 //   * a seeded randomized differential sweep (200 cases): random scripts
 //     of push/pop/addVariable/addConstraint/invalidate with a check after
-//     most steps, every check compared against a cold Solver::solve of
-//     the same flattened Problem — verdicts, status bits, and every
+//     most steps, run in a jobs=1 session and mirrored in a jobs=4 one;
+//     every check of both is compared against a jobs=1 cold Solver::solve
+//     of the same flattened Problem — verdicts, status bits, and every
 //     assignment's languages and witnesses must match byte for byte;
 //   * budget-exhaustion and cancellation parity on fresh sessions (the
 //     cold-cache case where the warm check performs exactly the cold
@@ -28,10 +29,12 @@
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 #include "service/ThreadPool.h"
+#include "solver/ConstraintParser.h"
 #include "solver/DependencyGraph.h"
 #include "solver/Solver.h"
 #include "support/Budget.h"
 #include "support/Cancellation.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -107,10 +110,27 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
   std::mt19937 Rng(Seed * 2654435761u + 40503);
   std::uniform_int_distribution<int> Percent(0, 99);
 
+  // Every step is mirrored into Par, a session at jobs=4: its rebuilds
+  // canonicalize on the pool and its CI-groups solve concurrently, yet
+  // each of its checks must still equal the jobs=1 cold solve.
   SolverSession S;
+  service::ThreadPool Pool(4);
+  SolverOptions ParOpts;
+  ParOpts.Jobs = 4;
+  ParOpts.Exec = &Pool;
+  SolverSession Par(ParOpts);
+  auto addVariable = [&](const std::string &Name) {
+    S.addVariable(Name);
+    Par.addVariable(Name);
+  };
+  auto push = [&] {
+    S.push();
+    Par.push();
+  };
+
   unsigned BaseVars = 1 + Percent(Rng) % 2;
   for (unsigned V = 0; V != BaseVars; ++V)
-    S.addVariable("v" + std::to_string(V));
+    addVariable("v" + std::to_string(V));
 
   auto addRandomConstraint = [&] {
     const Problem &P = S.problem();
@@ -123,7 +143,9 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
       else
         Lhs.push_back(P.constant(regexLanguage(randomPattern(Rng, 1))));
     }
-    S.addConstraint(std::move(Lhs), regexLanguage(randomPattern(Rng, 2)));
+    Nfa Rhs = regexLanguage(randomPattern(Rng, 2));
+    Par.addConstraint(Lhs, Rhs);
+    S.addConstraint(std::move(Lhs), std::move(Rhs));
   };
   addRandomConstraint();
 
@@ -138,7 +160,15 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
     ASSERT_EQ(fingerprint(Warm), fingerprint(Cold))
         << "seed " << Seed << ", depth " << S.depth() << ":\n"
         << S.problem().str();
+    ASSERT_EQ(fingerprint(Par.check()), fingerprint(Cold))
+        << "seed " << Seed << " (jobs=4), depth " << Par.depth() << ":\n"
+        << Par.problem().str();
     const SessionCheckInfo &Info = S.lastCheckInfo();
+    // Both sessions consume groups in the same order, so they file and
+    // splice the same results.
+    EXPECT_EQ(Par.lastCheckInfo().Incremental, Info.Incremental);
+    EXPECT_EQ(Par.lastCheckInfo().GroupsReused, Info.GroupsReused);
+    EXPECT_EQ(Par.lastCheckInfo().FreeVarsReused, Info.FreeVarsReused);
     EXPECT_LE(Info.GroupsReused, Info.GroupsTotal) << "seed " << Seed;
     EXPECT_LE(Info.FreeVarsReused, Info.FreeVarsTotal) << "seed " << Seed;
     if (CheckedOnce && !MutatedSinceCheck && Info.Incremental) {
@@ -159,17 +189,18 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
   for (unsigned Op = 0; Op != Ops; ++Op) {
     int Roll = Percent(Rng);
     if (Roll < 35) {
-      S.push();
+      push();
       if (Percent(Rng) < 30)
-        S.addVariable("p" + std::to_string(Op));
+        addVariable("p" + std::to_string(Op));
       addRandomConstraint();
       MutatedSinceCheck = true;
     } else if (Roll < 55) {
       if (S.depth() != 0) {
         ASSERT_TRUE(S.pop());
+        ASSERT_TRUE(Par.pop());
         MutatedSinceCheck = true;
       } else {
-        S.push();
+        push();
         addRandomConstraint();
         MutatedSinceCheck = true;
       }
@@ -180,6 +211,7 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
       // Re-check without mutation: the all-spliced path.
     } else if (Roll < 85) {
       S.invalidate();
+      Par.invalidate();
     }
     if (Percent(Rng) < 70)
       checkAndCompare();
@@ -193,6 +225,9 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
     ResourceLimits Limits;
     Limits.MaxStates = 60;
 
+    // Clearing the global caches is single-threaded only: let Par's pool
+    // workers leave their parallel regions first.
+    Pool.waitIdle();
     DecisionCache::global().clear();
     clearMinimizeCache();
     ResourceBudget ColdBudget(Limits);
@@ -468,6 +503,49 @@ TEST(SessionTest, ParallelCheckMatchesSerial) {
   ASSERT_TRUE(S.pop());
   SolveResult Popped = S.check();
   EXPECT_EQ(fingerprint(Popped), fingerprint(Reference));
+}
+
+namespace {
+
+/// Names of the children of the traced root span \p Root, in order.
+std::vector<std::string> stageNames(const Json &Trace, const char *Root) {
+  std::vector<std::string> Names;
+  const Json &Spans = *Trace.find("spans");
+  for (size_t I = 0; I != Spans.size(); ++I) {
+    if (Spans.at(I).find("name")->asString() != Root)
+      continue;
+    if (const Json *Children = Spans.at(I).find("children"))
+      for (size_t C = 0; C != Children->size(); ++C)
+        Names.push_back(Children->at(C).find("name")->asString());
+  }
+  return Names;
+}
+
+} // namespace
+
+TEST(SessionTest, FirstCheckTracesTheColdSolveStages) {
+  // A session check runs the cold solver's pipeline, so the two span trees
+  // carry the same stage names under their roots — the names the latency
+  // ledger and docs/OBSERVABILITY.md read.
+  const char *Text = "var x; var y; x . y <= /ab|ba/;"
+                     "var u; var w; u . w <= /xy/; var f; f <= /a*/;";
+  ConstraintParseResult Parsed = parseConstraintText(Text);
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  SolverSession S;
+  std::string Error;
+  ASSERT_TRUE(S.assertText(Text, &Error)) << Error;
+
+  TraceCollector &TC = TraceCollector::global();
+  TC.start();
+  ASSERT_TRUE(Solver().solve(Parsed.Instance).Satisfiable);
+  ASSERT_TRUE(S.check().Satisfiable);
+  TC.stop();
+  Json Trace = TC.toJson();
+
+  std::vector<std::string> Expected = {"build_dependency_graph", "reduce",
+                                       "gci_group", "gci_group", "assemble"};
+  EXPECT_EQ(stageNames(Trace, "solve"), Expected);
+  EXPECT_EQ(stageNames(Trace, "session_check"), Expected);
 }
 
 //===----------------------------------------------------------------------===//
