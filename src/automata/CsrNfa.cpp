@@ -2,6 +2,7 @@
 
 #include "automata/CsrNfa.h"
 #include "automata/OpStats.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cassert>
@@ -35,16 +36,6 @@ struct RegisterCsrStats {
 };
 
 RegisterCsrStats RegisterCsrStatsInit;
-
-uint64_t fnv1a(const void *Data, size_t Bytes) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  uint64_t H = 14695981039346656037ull;
-  for (size_t I = 0; I != Bytes; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 } // namespace
 
@@ -83,7 +74,8 @@ std::pair<uint32_t, bool> StateSetInterner::intern(const StateId *Data,
   // Grow at 3/4 load; the table is never empty after this.
   if ((size_t(numSets()) + 1) * 4 >= Slots.size() * 3)
     grow();
-  uint64_t Hash = fnv1a(Data, Len * sizeof(StateId));
+  uint64_t Hash = fnv1a(std::string_view(
+      reinterpret_cast<const char *>(Data), Len * sizeof(StateId)));
   size_t Mask = Slots.size() - 1;
   size_t Idx = Hash & Mask;
   while (true) {

@@ -12,7 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <new>
-#include <unordered_map>
+#include <unordered_set>
 
 using namespace dprle;
 
@@ -462,72 +462,11 @@ DecisionCache &DecisionCache::global() {
   return Cache;
 }
 
-namespace {
-
-/// Bounded per-shard cache sizes; overflowing either flushes that shard.
-/// With 16 shards the process-wide footprint cap matches the historical
-/// single-table bounds (2^12 machines / 2^16 answers).
-constexpr size_t MaxCachedMachinesPerShard = 1 << 8;
-constexpr size_t MaxCachedAnswersPerShard = 1 << 12;
-
-void appendU32(std::string &Out, uint32_t V) {
-  Out.push_back(static_cast<char>(V));
-  Out.push_back(static_cast<char>(V >> 8));
-  Out.push_back(static_cast<char>(V >> 16));
-  Out.push_back(static_cast<char>(V >> 24));
-}
-
-/// Structural encoding of a machine: state count, start, acceptance, and
-/// every transition in storage order. Epsilon markers are *excluded* —
-/// they carry solver bookkeeping and do not affect the language, so
-/// machines differing only in markers share cache entries.
-std::string encodeMachine(const Nfa &M) {
-  std::string Out;
-  Out.reserve(16 + M.numTransitions() * 40);
-  appendU32(Out, M.numStates());
-  appendU32(Out, M.start());
-  for (StateId S = 0; S != M.numStates(); ++S)
-    Out.push_back(M.isAccepting(S) ? 1 : 0);
-  for (StateId S = 0; S != M.numStates(); ++S) {
-    const std::vector<Transition> &Ts = M.transitionsFrom(S);
-    appendU32(Out, static_cast<uint32_t>(Ts.size()));
-    for (const Transition &T : Ts) {
-      appendU32(Out, T.To);
-      Out.push_back(T.IsEpsilon ? 1 : 0);
-      if (T.IsEpsilon)
-        continue;
-      // Length-prefixed symbol list keeps the encoding injective.
-      appendU32(Out, T.Label.count());
-      T.Label.forEach([&](unsigned char C) { Out.push_back(char(C)); });
-    }
-  }
-  return Out;
-}
-
-/// Interns \p Encoding in \p Machines; the caller holds the shard lock.
-uint32_t internEncoding(std::unordered_map<std::string, uint32_t> &Machines,
-                        std::string Encoding) {
-  auto [It, Inserted] =
-      Machines.try_emplace(std::move(Encoding), uint32_t(Machines.size()));
-  return It->second;
-}
-
-} // namespace
-
 std::string dprle::structuralEncoding(const Nfa &M) {
-  return encodeMachine(M);
+  return M.identity().encoding();
 }
 
-uint64_t dprle::structuralHash(const Nfa &M) {
-  // FNV-1a, 64-bit: cheap, dependency-free, and identical in every
-  // process — std::hash makes no such promise.
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : encodeMachine(M)) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
+uint64_t dprle::structuralHash(const Nfa &M) { return M.identity().hash(); }
 
 void DecisionCache::setEnabled(bool E) {
   assert(!parallelRegionActive() &&
@@ -535,89 +474,24 @@ void DecisionCache::setEnabled(bool E) {
   Enabled.store(E, std::memory_order_relaxed);
 }
 
-std::optional<bool> DecisionCache::lookup(Query Q, const Nfa &L,
-                                          const Nfa *R, Key &KeyOut) {
-  KeyOut = Key();
-  if (!enabled())
-    return std::nullopt;
-  std::string EncL = encodeMachine(L);
-  std::string EncR = R ? encodeMachine(*R) : std::string();
-  // Both operands' interning must live behind one lock, so the shard is a
-  // function of the *pair* of encodings. The rotate keeps (A, B) and
-  // (B, A) on different shards without biasing either operand.
-  std::hash<std::string> Hash;
-  size_t PairHash = Hash(EncL);
-  if (R) {
-    size_t HR = Hash(EncR);
-    PairHash ^= (HR << 17) | (HR >> (sizeof(size_t) * 8 - 17));
-  }
-  uint32_t ShardIdx = uint32_t(PairHash % NumShards);
-  Shard &S = Shards[ShardIdx];
-
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  if (S.Machines.size() > MaxCachedMachinesPerShard ||
-      S.Answers.size() > MaxCachedAnswersPerShard) {
-    S.Machines.clear();
-    S.Answers.clear();
-    ++S.Epoch;
-    DecideStats::global().CacheEvictions++;
-  }
-  uint64_t IdL = internEncoding(S.Machines, std::move(EncL));
-  uint64_t IdR = R ? internEncoding(S.Machines, std::move(EncR)) : 0;
-  // 8-bit kind | 28-bit lhs id | 28-bit rhs id. Ids cannot exceed 28 bits
-  // under the per-shard machine cap.
-  KeyOut.Shard = ShardIdx;
-  KeyOut.Epoch = S.Epoch;
-  KeyOut.Packed = (uint64_t(Q) << 56) | (IdL << 28) | IdR;
-  auto It = S.Answers.find(KeyOut.Packed);
-  if (It == S.Answers.end()) {
-    DecideStats::global().CacheMisses++;
-    return std::nullopt;
-  }
-  DecideStats::global().CacheHits++;
-  return It->second;
-}
-
-void DecisionCache::store(const Key &K, bool Answer) {
-  if (!K.valid())
-    return;
-  Shard &S = Shards[K.Shard];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  // A flush between lookup() and store() reassigned the machine ids the
-  // packed key names; filing the answer would poison the cache.
-  if (S.Epoch != K.Epoch)
-    return;
-  S.Answers.emplace(K.Packed, Answer);
-}
-
 void DecisionCache::clear() {
   assert(!parallelRegionActive() &&
          "DecisionCache::clear while a parallel region is active");
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    S.Machines.clear();
-    S.Answers.clear();
-    ++S.Epoch;
-  }
+  Answers.clear();
 }
 
 size_t DecisionCache::numMachines() const {
-  size_t Total = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Total += S.Machines.size();
-  }
-  return Total;
+  struct IdentityHash {
+    size_t operator()(const MachineIdentity &M) const { return M.hash(); }
+  };
+  std::unordered_set<MachineIdentity, IdentityHash> Distinct;
+  Answers.forEachKey([&](const MemoKey &K) {
+    Distinct.insert(K.Machines.begin(), K.Machines.end());
+  });
+  return Distinct.size();
 }
 
-size_t DecisionCache::numAnswers() const {
-  size_t Total = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Total += S.Answers.size();
-  }
-  return Total;
-}
+size_t DecisionCache::numAnswers() const { return Answers.size(); }
 
 //===----------------------------------------------------------------------===//
 // Public queries
@@ -626,20 +500,14 @@ size_t DecisionCache::numAnswers() const {
 bool dprle::emptyIntersection(const Nfa &Lhs, const Nfa &Rhs) {
   DPRLE_TRACE_SPAN("decide_empty_intersection");
   DecideStats::global().EmptyIntersectionQueries++;
-  DecisionCache::Key Key;
-  if (auto Hit = DecisionCache::global().lookup(
-          DecisionCache::Query::EmptyIntersection, Lhs, &Rhs, Key))
-    return *Hit;
-  ProductSearch Search(Lhs, Rhs);
-  size_t Found = Search.run();
-  if (Found != SIZE_MAX)
-    recordEarlyExit(Search.wordTo(Found).size());
-  bool Answer = Found == SIZE_MAX;
-  // A truncated (budget-exhausted) search proves nothing — the caller
-  // discards the answer, and it must never poison the cache.
-  if (!ResourceGuard::exhausted())
-    DecisionCache::global().store(Key, Answer);
-  return Answer;
+  return DecisionCache::global().answer(
+      DecisionCache::Query::EmptyIntersection, Lhs, &Rhs, [&] {
+        ProductSearch Search(Lhs, Rhs);
+        size_t Found = Search.run();
+        if (Found != SIZE_MAX)
+          recordEarlyExit(Search.wordTo(Found).size());
+        return Found == SIZE_MAX;
+      });
 }
 
 std::optional<std::string> dprle::intersectionWitness(const Nfa &Lhs,
@@ -658,18 +526,14 @@ std::optional<std::string> dprle::intersectionWitness(const Nfa &Lhs,
 bool dprle::subsetOf(const Nfa &Lhs, const Nfa &Rhs) {
   DPRLE_TRACE_SPAN("decide_subset");
   DecideStats::global().SubsetQueries++;
-  DecisionCache::Key Key;
-  if (auto Hit = DecisionCache::global().lookup(DecisionCache::Query::Subset,
-                                                Lhs, &Rhs, Key))
-    return *Hit;
-  SubsetSearch Search(Lhs, Rhs);
-  size_t Found = Search.run();
-  if (Found != SIZE_MAX)
-    recordEarlyExit(Search.wordTo(Found).size());
-  bool Answer = Found == SIZE_MAX;
-  if (!ResourceGuard::exhausted())
-    DecisionCache::global().store(Key, Answer);
-  return Answer;
+  return DecisionCache::global().answer(
+      DecisionCache::Query::Subset, Lhs, &Rhs, [&] {
+        SubsetSearch Search(Lhs, Rhs);
+        size_t Found = Search.run();
+        if (Found != SIZE_MAX)
+          recordEarlyExit(Search.wordTo(Found).size());
+        return Found == SIZE_MAX;
+      });
 }
 
 std::optional<std::string> dprle::subsetCounterexample(const Nfa &Lhs,
@@ -688,25 +552,15 @@ std::optional<std::string> dprle::subsetCounterexample(const Nfa &Lhs,
 bool dprle::equivalentTo(const Nfa &Lhs, const Nfa &Rhs) {
   DPRLE_TRACE_SPAN("decide_equivalent");
   DecideStats::global().EquivalenceQueries++;
-  DecisionCache::Key Key;
-  if (auto Hit = DecisionCache::global().lookup(
-          DecisionCache::Query::Equivalent, Lhs, &Rhs, Key))
-    return *Hit;
-  bool Answer = subsetOf(Lhs, Rhs) && subsetOf(Rhs, Lhs);
-  if (!ResourceGuard::exhausted())
-    DecisionCache::global().store(Key, Answer);
-  return Answer;
+  return DecisionCache::global().answer(
+      DecisionCache::Query::Equivalent, Lhs, &Rhs,
+      [&] { return subsetOf(Lhs, Rhs) && subsetOf(Rhs, Lhs); });
 }
 
 bool dprle::isEmpty(const Nfa &M) {
   DPRLE_TRACE_SPAN("decide_empty");
   DecideStats::global().EmptinessQueries++;
-  DecisionCache::Key Key;
-  if (auto Hit = DecisionCache::global().lookup(DecisionCache::Query::Empty,
-                                                M, nullptr, Key))
-    return *Hit;
-  bool Answer = M.languageIsEmpty();
-  if (!ResourceGuard::exhausted())
-    DecisionCache::global().store(Key, Answer);
-  return Answer;
+  return DecisionCache::global().answer(DecisionCache::Query::Empty, M,
+                                        nullptr,
+                                        [&] { return M.languageIsEmpty(); });
 }

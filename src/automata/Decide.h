@@ -31,14 +31,14 @@
 ///  * isEmpty(M) — reachability with early exit at the first accepting
 ///    state.
 ///
-/// Answers are memoized in a DecisionCache keyed by structural machine
-/// identity (hash + interning, so repeated queries over shared machines —
-/// the taint pass's attack language, the solver's dedup comparisons — are
-/// O(|machine|) re-hashes instead of fresh product constructions). The
-/// cache is *sharded* behind striped locks so pool workers of the solver
+/// Answers are memoized in a DecisionCache keyed by the operands' content
+/// identities (Nfa::identity(), computed once per machine and carried by
+/// its copies), so repeated queries over shared machines — the taint
+/// pass's attack language, the solver's dedup comparisons — are table
+/// lookups instead of fresh product constructions. The cache is a
+/// lock-striped MemoTable (MemoTable.h), so pool workers of the solver
 /// service (src/service/) share memoized verdicts without contending on
-/// one table; see DecisionCache below. It can be disabled for debugging
-/// (`--no-decision-cache`).
+/// one lock. It can be disabled for debugging (`--no-decision-cache`).
 ///
 /// All queries are bit-identical to their materialized counterparts;
 /// tests/DecideTest.cpp pins this differentially over randomized NFAs.
@@ -48,15 +48,14 @@
 #ifndef DPRLE_AUTOMATA_DECIDE_H
 #define DPRLE_AUTOMATA_DECIDE_H
 
+#include "automata/MemoTable.h"
 #include "automata/Nfa.h"
 #include "support/Stats.h"
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 namespace dprle {
 
@@ -94,25 +93,20 @@ struct DecideStats {
   static DecideStats &global();
 };
 
-/// Memoizes decision-kernel answers across queries. Machines are interned
-/// by a structural encoding (states, start, acceptance, transition labels;
-/// epsilon markers are deliberately excluded — they carry solver
-/// bookkeeping, not language), so two structurally identical machines share
-/// an id and their queries share cache entries.
+/// Memoizes decision-kernel answers across queries, keyed by (query,
+/// identity, identity). Identities exclude epsilon markers (they carry
+/// solver bookkeeping, not language), so two machines differing only in
+/// markers share entries. The table is a MemoTable of 16 stripes of at
+/// most 4096 answers and MemoTable::MaxPinnedBytes / 16 pinned bytes each;
+/// overflow flushes a stripe (counted in DecideStats::CacheEvictions).
+/// Entries hold identity handles, so an answer can never be filed under
+/// another machine's key.
 ///
-/// Concurrency: the table is split into NumShards independent shards, each
-/// holding its own machine-interning map, answer map, and mutex. A query's
-/// shard is chosen by hashing the operand encodings, so both maps a query
-/// touches live behind one lock and workers querying different machines
-/// proceed in parallel. Each shard is bounded: overflowing either of its
-/// maps flushes that shard (counted in DecideStats::CacheEvictions) and
-/// bumps its *epoch*; store() revalidates the epoch so an in-flight answer
-/// computed against pre-flush machine ids can never be filed under
-/// reassigned ids.
-///
-/// setEnabled() and clear() mutate state that queries read without
-/// coordination and therefore assert that no parallel region is active
-/// (support/Executor.h) — configure the cache before starting a pool.
+/// The enable switch is shared with the minimize memo (NfaOps.h): it is
+/// the one `--no-decision-cache` switch. setEnabled() and clear() mutate
+/// state that queries read without coordination and therefore assert that
+/// no parallel region is active (support/Executor.h) — configure the cache
+/// before starting a pool.
 class DecisionCache {
 public:
   enum class Query : uint8_t {
@@ -122,75 +116,62 @@ public:
     Empty = 3,
   };
 
-  /// Opaque resumption token produced by lookup() on a miss and consumed
-  /// by store().
-  struct Key {
-    uint32_t Shard = 0;
-    uint32_t Epoch = 0;
-    uint64_t Packed = InvalidPacked; ///< (query, lhs id, rhs id).
-
-    bool valid() const { return Packed != InvalidPacked; }
-    static constexpr uint64_t InvalidPacked = ~uint64_t(0);
-  };
-
-  /// Globally enables/disables memoization (the `--no-decision-cache`
-  /// flag). Disabling does not clear previously stored answers. Must not
-  /// be called while a parallel region is active.
+  /// Globally enables/disables memoization of decide answers and of
+  /// minimized() results. Disabling does not clear previously stored
+  /// answers. Must not be called while a parallel region is active.
   void setEnabled(bool E);
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
-  /// Drops every interned machine and stored answer. Must not be called
-  /// while a parallel region is active.
+  /// Drops every stored answer (the minimize memo stays warm). Must not be
+  /// called while a parallel region is active.
   void clear();
 
-  /// Totals across shards (diagnostics; momentary under concurrency).
+  /// Distinct machines the stored answers reference, and stored answers
+  /// (diagnostics; momentary under concurrency).
   size_t numMachines() const;
   size_t numAnswers() const;
 
-  /// Looks up the memoized answer for \p Q over \p L (and \p R for binary
-  /// queries; pass nullptr for isEmpty). On a miss, \p KeyOut receives a
-  /// token that store() accepts; when the cache is disabled the lookup
-  /// misses without counting and \p KeyOut is invalidated.
-  std::optional<bool> lookup(Query Q, const Nfa &L, const Nfa *R,
-                             Key &KeyOut);
-
-  /// Stores \p Answer under a key produced by lookup(). No-op for an
-  /// invalid key (cache disabled at lookup time) or a stale one (the
-  /// shard was flushed since the lookup).
-  void store(const Key &K, bool Answer);
+  /// The answer to \p Q over \p L (and \p R for binary queries; nullptr
+  /// for isEmpty): memoized, or computed by \p Compute and stored.
+  template <typename Fn>
+  bool answer(Query Q, const Nfa &L, const Nfa *R, Fn Compute) {
+    if (!enabled())
+      return Compute();
+    MemoKey K;
+    K.Shape.push_back(char(Q));
+    K.addMachine(L);
+    if (R)
+      K.addMachine(*R);
+    if (std::optional<bool> Hit = Answers.find(K))
+      return *Hit;
+    bool A = Compute();
+    Answers.insert(std::move(K), A);
+    return A;
+  }
 
   static DecisionCache &global();
 
 private:
-  static constexpr size_t NumShards = 16;
+  DecisionCache() = default;
 
-  struct Shard {
-    mutable std::mutex Mutex;
-    uint32_t Epoch = 0;
-    /// Structural encoding -> machine id (shard-local id space).
-    std::unordered_map<std::string, uint32_t> Machines;
-    /// Packed (query, lhs id, rhs id) -> answer.
-    std::unordered_map<uint64_t, bool> Answers;
-  };
-
-  Shard Shards[NumShards];
+  MemoTable<bool> Answers{/*NumStripes=*/16, /*MaxEntriesPerStripe=*/4096,
+                          {&DecideStats::global().CacheHits,
+                           &DecideStats::global().CacheMisses,
+                           &DecideStats::global().CacheEvictions}};
   std::atomic<bool> Enabled{true};
 };
 
-/// A deterministic structural fingerprint of \p M: FNV-1a over the same
-/// marker-free encoding the DecisionCache interns, so two machines hash
-/// equal iff they would share cache entries. Stable across processes
-/// (unlike std::hash) — the shard router (service/Router.h) uses it to
-/// pin structurally identical queries to the same worker, keeping that
-/// worker's cache hot.
+/// M.identity().hash(): FNV-1a over the marker-free encoding, so two
+/// machines hash equal when they share memo entries. Stable across
+/// processes (unlike std::hash) — the shard router (service/Router.h) uses
+/// it to pin structurally identical queries to the same worker, keeping
+/// that worker's caches hot.
 uint64_t structuralHash(const Nfa &M);
 
-/// The injective marker-free structural encoding the DecisionCache interns
-/// machines by (states, start, acceptance, transitions in storage order;
-/// epsilon markers excluded). Two machines encode equal iff the
-/// DecisionCache would treat them as the same machine. The minimize-result
-/// cache (NfaOps.h) keys Hopcroft results by this same encoding so all the
-/// structural caches agree on machine identity.
+/// M.identity().encoding(): the injective marker-free structural encoding
+/// (states, start, acceptance, transitions in storage order; epsilon
+/// markers excluded). Two machines encode equal iff every memo table
+/// treats them as the same machine.
 std::string structuralEncoding(const Nfa &M);
 
 /// True iff L(Lhs) ∩ L(Rhs) = ∅. Never materializes the product machine.

@@ -3,6 +3,7 @@
 #include "automata/Nfa.h"
 #include "automata/CsrNfa.h"
 #include "automata/OpStats.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cassert>
@@ -19,29 +20,20 @@ Nfa::Nfa(const Nfa &Other)
     : States(Other.States), Accepting(Other.Accepting), Start(Other.Start),
       Generation(Other.Generation) {
   // The copy describes the same machine, so it inherits the source's
-  // already-built view. Lock the source: a concurrent csr() on it may be
-  // publishing the view right now.
-  std::lock_guard<std::mutex> Lock(Other.CsrMutex);
-  CsrView = Other.CsrView;
-  CsrGeneration = Other.CsrGeneration;
+  // already-built views. Lock the source: a concurrent csr() or
+  // identity() on it may be publishing a view right now.
+  std::lock_guard<std::mutex> Lock(Other.ViewMutex);
+  Views = Other.Views;
 }
 
 Nfa::Nfa(Nfa &&Other) noexcept
     : States(std::move(Other.States)), Accepting(std::move(Other.Accepting)),
       Start(Other.Start), Generation(Other.Generation),
-      CsrView(std::move(Other.CsrView)),
-      CsrGeneration(Other.CsrGeneration) {}
+      Views(std::move(Other.Views)) {}
 
 Nfa &Nfa::operator=(const Nfa &Other) {
-  if (this == &Other)
-    return *this;
-  States = Other.States;
-  Accepting = Other.Accepting;
-  Start = Other.Start;
-  Generation = Other.Generation;
-  std::lock_guard<std::mutex> Lock(Other.CsrMutex);
-  CsrView = Other.CsrView;
-  CsrGeneration = Other.CsrGeneration;
+  if (this != &Other)
+    *this = Nfa(Other);
   return *this;
 }
 
@@ -52,22 +44,71 @@ Nfa &Nfa::operator=(Nfa &&Other) noexcept {
   Accepting = std::move(Other.Accepting);
   Start = Other.Start;
   Generation = Other.Generation;
-  CsrView = std::move(Other.CsrView);
-  CsrGeneration = Other.CsrGeneration;
+  Views = std::move(Other.Views);
   return *this;
 }
 
 Nfa::~Nfa() = default;
 
+void Nfa::dropStaleViews() const {
+  if (Views.Generation != Generation)
+    Views = {Generation, nullptr, std::nullopt};
+}
+
 std::shared_ptr<const CsrNfa> Nfa::csr() const {
-  std::lock_guard<std::mutex> Lock(CsrMutex);
-  if (CsrView && CsrGeneration == Generation) {
+  std::lock_guard<std::mutex> Lock(ViewMutex);
+  dropStaleViews();
+  if (Views.Csr) {
     CsrStats::global().Reuses++;
-    return CsrView;
+    return Views.Csr;
   }
-  CsrView = std::make_shared<const CsrNfa>(*this);
-  CsrGeneration = Generation;
-  return CsrView;
+  Views.Csr = std::make_shared<const CsrNfa>(*this);
+  return Views.Csr;
+}
+
+MachineIdentity Nfa::identity() const {
+  std::lock_guard<std::mutex> Lock(ViewMutex);
+  dropStaleViews();
+  if (!Views.Identity)
+    Views.Identity = MachineIdentity::of(*this);
+  return *Views.Identity;
+}
+
+namespace {
+
+void appendU32(std::string &Out, uint32_t V) {
+  Out.push_back(static_cast<char>(V));
+  Out.push_back(static_cast<char>(V >> 8));
+  Out.push_back(static_cast<char>(V >> 16));
+  Out.push_back(static_cast<char>(V >> 24));
+}
+
+} // namespace
+
+MachineIdentity MachineIdentity::of(const Nfa &M) {
+  std::string Out;
+  Out.reserve(16 + M.numTransitions() * 40);
+  appendU32(Out, M.numStates());
+  appendU32(Out, M.start());
+  for (StateId S = 0; S != M.numStates(); ++S)
+    Out.push_back(M.isAccepting(S) ? 1 : 0);
+  for (StateId S = 0; S != M.numStates(); ++S) {
+    const std::vector<Transition> &Ts = M.transitionsFrom(S);
+    appendU32(Out, static_cast<uint32_t>(Ts.size()));
+    for (const Transition &T : Ts) {
+      appendU32(Out, T.To);
+      Out.push_back(T.IsEpsilon ? 1 : 0);
+      if (T.IsEpsilon)
+        continue;
+      // Length-prefixed symbol list keeps the encoding injective.
+      appendU32(Out, T.Label.count());
+      T.Label.forEach([&](unsigned char C) { Out.push_back(char(C)); });
+    }
+  }
+  // Memo entries pin the encoding: drop the reserve's slack.
+  Out.shrink_to_fit();
+  uint64_t Hash = fnv1a(Out);
+  return MachineIdentity(std::move(Out), Hash);
 }
 
 Nfa Nfa::emptyLanguage() { return Nfa(); }

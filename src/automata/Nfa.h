@@ -35,6 +35,7 @@
 namespace dprle {
 
 class CsrNfa;
+class Nfa;
 
 /// Dense automaton state index.
 using StateId = uint32_t;
@@ -67,6 +68,48 @@ struct EpsilonInstance {
   }
 };
 
+/// A machine's content identity: a shared handle to its marker-free
+/// structural encoding (state count, start, acceptance, and every
+/// transition in storage order; epsilon markers excluded, since they carry
+/// solver bookkeeping, not language) and the encoding's FNV-1a hash.
+/// Every memo table keys machines by it (automata/MemoTable.h), and the
+/// shard router pins requests by its hash. Two identities are equal iff
+/// their encodings are; comparing two copies of one handle is a pointer
+/// compare.
+class MachineIdentity {
+public:
+  /// An identity with a given encoding and hash, which need not agree;
+  /// tests use it to force hash collisions.
+  MachineIdentity(std::string Encoding, uint64_t Hash)
+      : Rep(std::make_shared<const Data>(Data{std::move(Encoding), Hash})) {}
+
+  /// FNV-1a 64 over encoding(): deterministic across processes, unlike
+  /// std::hash.
+  uint64_t hash() const { return Rep->Hash; }
+  const std::string &encoding() const { return Rep->Encoding; }
+  /// True when both are copies of one handle (no content compare).
+  bool sameHandle(const MachineIdentity &Other) const {
+    return Rep == Other.Rep;
+  }
+
+  friend bool operator==(const MachineIdentity &A, const MachineIdentity &B) {
+    return A.Rep == B.Rep || (A.Rep->Hash == B.Rep->Hash &&
+                              A.Rep->Encoding == B.Rep->Encoding);
+  }
+
+private:
+  friend class Nfa;
+  /// Encodes and hashes \p M: the only producer of the encoding, reached
+  /// through Nfa::identity(), which caches the result.
+  static MachineIdentity of(const Nfa &M);
+
+  struct Data {
+    std::string Encoding;
+    uint64_t Hash;
+  };
+  std::shared_ptr<const Data> Rep;
+};
+
 /// A nondeterministic finite automaton over the byte alphabet with a single
 /// start state, any number of accepting states, and optional epsilon
 /// transitions.
@@ -76,11 +119,12 @@ public:
   /// its language is empty.
   Nfa();
 
-  /// The big five are user-provided to manage the cached kernel view: a
-  /// copy shares the source's already-built view (it describes the same
-  /// machine), a move steals it. Copying from a machine that is
-  /// concurrently building its view is safe; mutating and copying the same
-  /// machine concurrently is not (the usual exclusive-writer rule).
+  /// The big five are user-provided to manage the cached views (the CSR
+  /// kernel view and the identity): a copy shares the source's
+  /// already-built views (it describes the same machine), a move steals
+  /// them. Copying from a machine that is concurrently building a view is
+  /// safe; mutating and copying the same machine concurrently is not (the
+  /// usual exclusive-writer rule).
   Nfa(const Nfa &Other);
   Nfa(Nfa &&Other) noexcept;
   Nfa &operator=(const Nfa &Other);
@@ -130,7 +174,7 @@ public:
   }
   /// @}
 
-  /// \name Kernel view
+  /// \name Cached views
   /// @{
 
   /// The frozen CSR kernel view of this machine (see CsrNfa.h). Built
@@ -141,7 +185,11 @@ public:
   /// independently of this machine's lifetime and later mutations.
   std::shared_ptr<const CsrNfa> csr() const;
 
-  /// The mutation epoch backing csr()'s cache; strictly increases across
+  /// This machine's content identity, computed at most once per mutation
+  /// epoch and cached like csr(); copies share the handle.
+  MachineIdentity identity() const;
+
+  /// The mutation epoch backing the views' cache; strictly increases across
   /// mutations of this object. Exposed for the invalidation tests.
   uint64_t generation() const { return Generation; }
   /// @}
@@ -224,21 +272,28 @@ public:
   /// @}
 
 private:
-  /// Drops the cached kernel view; called by every mutator. Callers hold
+  /// Drops the cached views; called by every mutator. Callers hold
   /// exclusive access during mutation (the usual rule for this class), so
   /// no lock is needed to bump the epoch.
   void invalidate() { ++Generation; }
+  /// Resets views built at an older epoch; the caller holds ViewMutex.
+  void dropStaleViews() const;
 
   std::vector<std::vector<Transition>> States;
   std::vector<bool> Accepting;
   StateId Start = 0;
 
-  /// Mutation epoch; starts at 1 so a generation of 0 (CsrGeneration's
+  /// Mutation epoch; starts at 1 so a generation of 0 (Views.Generation's
   /// initial value) never validates an empty cache.
   uint64_t Generation = 1;
-  mutable std::mutex CsrMutex;
-  mutable std::shared_ptr<const CsrNfa> CsrView;
-  mutable uint64_t CsrGeneration = 0;
+  /// The views built at epoch Views.Generation, copied as a unit.
+  struct CachedViews {
+    uint64_t Generation = 0;
+    std::shared_ptr<const CsrNfa> Csr;
+    std::optional<MachineIdentity> Identity;
+  };
+  mutable std::mutex ViewMutex;
+  mutable CachedViews Views;
 };
 
 } // namespace dprle

@@ -10,10 +10,8 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <deque>
-#include <mutex>
 #include <new>
 #include <unordered_map>
 
@@ -393,77 +391,41 @@ struct RegisterMinimizeStats {
 };
 RegisterMinimizeStats RegisterMinimizeStatsInit;
 
-/// Hopcroft results keyed by the operands' structural encodings (the same
-/// marker-free identity the DecisionCache interns). One mutex, not shards:
-/// minimization is orders of magnitude more expensive than the lookup, so
-/// lock contention is negligible next to the work a hit saves. Bounded:
-/// overflow flushes the whole table (counted in MinimizeStats::Evictions).
-struct MinimizeCache {
-  static constexpr size_t MaxEntries = 1 << 12;
-
-  std::mutex Mutex;
-  std::unordered_map<std::string, Nfa> Entries;
-  std::atomic<bool> Enabled{true};
-
-  static MinimizeCache &global() {
-    static MinimizeCache Cache;
-    return Cache;
-  }
-};
+/// Hopcroft results keyed by the operand's identity. One stripe, not
+/// several: minimization is orders of magnitude more expensive than the
+/// lookup, so lock contention is negligible next to the work a hit saves.
+MemoTable<Nfa> &minimizeMemo() {
+  static MemoTable<Nfa> Memo(
+      /*NumStripes=*/1, /*MaxEntriesPerStripe=*/1 << 12,
+      {&MinimizeStats::global().Hits, &MinimizeStats::global().Misses,
+       &MinimizeStats::global().Evictions});
+  return Memo;
+}
 
 } // namespace
 
 void dprle::setMinimizeCacheEnabled(bool Enabled) {
-  assert(!parallelRegionActive() &&
-         "setMinimizeCacheEnabled while a parallel region is active");
-  MinimizeCache::global().Enabled.store(Enabled, std::memory_order_relaxed);
+  DecisionCache::global().setEnabled(Enabled);
 }
 
-bool dprle::minimizeCacheEnabled() {
-  return MinimizeCache::global().Enabled.load(std::memory_order_relaxed);
-}
+bool dprle::minimizeCacheEnabled() { return DecisionCache::global().enabled(); }
 
-void dprle::clearMinimizeCache() {
-  MinimizeCache &C = MinimizeCache::global();
-  std::lock_guard<std::mutex> Lock(C.Mutex);
-  C.Entries.clear();
-}
+void dprle::clearMinimizeCache() { minimizeMemo().clear(); }
 
-size_t dprle::minimizeCacheSize() {
-  MinimizeCache &C = MinimizeCache::global();
-  std::lock_guard<std::mutex> Lock(C.Mutex);
-  return C.Entries.size();
-}
+size_t dprle::minimizeCacheSize() { return minimizeMemo().size(); }
 
 Nfa dprle::minimized(const Nfa &M) {
-  MinimizeCache &Cache = MinimizeCache::global();
-  if (!Cache.Enabled.load(std::memory_order_relaxed))
+  if (!minimizeCacheEnabled())
     return determinize(M).minimized().toNfa();
-
-  std::string Key = structuralEncoding(M);
-  {
-    std::lock_guard<std::mutex> Lock(Cache.Mutex);
-    auto It = Cache.Entries.find(Key);
-    if (It != Cache.Entries.end()) {
-      ++MinimizeStats::global().Hits;
-      // Copies share the source's frozen CSR view, so a hot constant's
-      // kernel view is built once per process, not once per solve.
-      return It->second;
-    }
-  }
-  ++MinimizeStats::global().Misses;
+  MemoKey Key;
+  Key.addMachine(M);
+  if (std::optional<Nfa> Hit = minimizeMemo().find(Key))
+    return std::move(*Hit);
   Nfa Result = determinize(M).minimized().toNfa();
-  // Never cache a machine truncated by a tripped resource budget — a
-  // later unbudgeted caller must not inherit the mutilated result (same
-  // rule as the gci caches; docs/ROBUSTNESS.md).
-  if (ResourceGuard::exhausted())
-    return Result;
-  std::lock_guard<std::mutex> Lock(Cache.Mutex);
-  if (Cache.Entries.size() >= MinimizeCache::MaxEntries) {
-    Cache.Entries.clear();
-    ++MinimizeStats::global().Evictions;
-  }
-  Cache.Entries.emplace(std::move(Key), Result);
+  // Computed before filing, so every copy a hit hands out shares it: a
+  // warm constant is never re-encoded for the memos it is queried in.
+  Result.identity();
+  minimizeMemo().insert(std::move(Key), Result);
   return Result;
 }
 

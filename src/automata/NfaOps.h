@@ -5,7 +5,9 @@
 /// marked concatenation (paper Figure 3 line 6), the cross-product
 /// intersection (lines 7-8), boolean closure via determinization, and
 /// decidable comparisons plus witness extraction used by the testcase
-/// generator and the test suite.
+/// generator and the test suite. minimized() memoizes its results in a
+/// MemoTable (MemoTable.h) keyed by the operand's identity; that memo
+/// shares the DecisionCache's enable switch but is cleared on its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,16 +70,16 @@ Nfa difference(const Nfa &Lhs, const Nfa &Rhs);
 /// Canonical minimal machine for L(M) (determinize + Hopcroft, converted
 /// back to an NFA). Markers do not survive minimization.
 ///
-/// Results are memoized in a process-wide cache keyed by the machine's
-/// structural encoding (Decide.h's structuralEncoding — the same identity
-/// the DecisionCache interns by, markers excluded; minimization is
-/// marker-oblivious, so sharing entries across marker variants is sound).
-/// The solver re-minimizes the same constants on every dependency-graph
-/// build and the gci verify/maximize paths re-minimize identical
-/// candidates; the cache turns those into O(|machine|) re-encodes. Hits
-/// skip the determinize/Hopcroft work and therefore its resource-budget
-/// charges — like the DecisionCache, budget-limited reruns of warmed
-/// queries may do less work than their cold counterparts.
+/// Results are memoized in a process-wide MemoTable (MemoTable.h) keyed
+/// by the operand's identity (Nfa::identity(): markers excluded;
+/// minimization is marker-oblivious, so sharing entries across marker
+/// variants is sound), bounded at 4096 entries. The solver re-minimizes
+/// the same constants on every dependency-graph build and the gci
+/// verify/maximize paths re-minimize identical candidates; the memo turns
+/// those into lookups. Hits skip the determinize/Hopcroft work and
+/// therefore its resource-budget charges — like the DecisionCache,
+/// budget-limited reruns of warmed queries may do less work than their
+/// cold counterparts.
 Nfa minimized(const Nfa &M);
 
 /// Process-wide counters for the minimize-result cache, published into the
@@ -90,16 +92,17 @@ struct MinimizeStats {
   static MinimizeStats &global();
 };
 
-/// Globally enables/disables minimize-result memoization (rides the
-/// `--no-decision-cache` debugging flag alongside DecisionCache). Must not
-/// be called while a parallel region is active.
+/// The minimize memo shares DecisionCache's enable switch (the one
+/// `--no-decision-cache` switch): these read and flip that switch, so
+/// they also turn decide-answer memoization on or off. Must not be called
+/// while a parallel region is active.
 void setMinimizeCacheEnabled(bool Enabled);
 bool minimizeCacheEnabled();
 
-/// Drops every cached minimize result. Must not be called while a
-/// parallel region is active. Tests use this to re-create cold-cache
-/// conditions; the bounded cache also self-flushes on overflow
-/// (MinimizeStats::Evictions).
+/// Drops every cached minimize result (the decide answers stay warm).
+/// Must not be called while a parallel region is active. Tests use this to
+/// re-create cold-cache conditions; the bounded memo also self-flushes on
+/// overflow (MinimizeStats::Evictions).
 void clearMinimizeCache();
 
 /// Cached entries right now (diagnostics; momentary under concurrency).

@@ -2,6 +2,7 @@
 
 #include "miniphp/SymExec.h"
 #include "automata/Decide.h"
+#include "automata/MemoTable.h"
 #include "automata/NfaOps.h"
 #include "miniphp/Slice.h"
 #include "miniphp/Taint.h"
@@ -13,7 +14,6 @@
 #include <cassert>
 #include <set>
 #include <string>
-#include <unordered_map>
 
 using namespace dprle;
 using namespace dprle::miniphp;
@@ -207,31 +207,31 @@ Nfa conditionLanguageUncached(const Condition &Cond, bool WantMatch) {
 /// Memoizing wrapper: path enumeration re-derives the same condition
 /// language on every path through its branch, and the negated outcomes
 /// pay a complement (a determinization) each time. The machines are
-/// functions of the condition's content alone, so cache them by content
-/// and hand out copies — an Nfa copy shares its source's frozen CSR view
-/// (automata/CsrNfa.h), so the downstream feasibility subset checks skip
-/// the view build as well as the compile.
+/// functions of the condition's text alone, so one process-wide MemoTable
+/// keeps them by text and hands out copies — an Nfa copy shares its
+/// source's frozen CSR view (automata/CsrNfa.h), so the downstream
+/// feasibility subset checks skip the view build as well as the compile.
+/// A machine built under a tripped budget is not kept (MemoTable.h).
 Nfa conditionLanguage(const Condition &Cond, bool Taken) {
+  static MemoTable<Nfa> Memo(/*NumStripes=*/1,
+                             /*MaxEntriesPerStripe=*/1 << 10);
   bool WantMatch = Taken != Cond.Negated;
-  std::string Key;
-  Key += char('0' + int(Cond.CondKind));
-  Key += WantMatch ? '+' : '-';
-  Key += char('0' + int(Cond.LenOp));
-  Key += std::to_string(Cond.LenBound) + "," +
-         std::to_string(Cond.SubOffset) + "," +
-         std::to_string(Cond.SubLength) + "|";
-  Key += Cond.Pattern;
-  Key += '\0';
-  Key += Cond.Literal;
-  static thread_local std::unordered_map<std::string, Nfa> Memo;
-  if (Memo.size() > 1024)
-    Memo.clear();
-  auto It = Memo.find(Key);
-  if (It == Memo.end())
-    It = Memo.emplace(std::move(Key),
-                      conditionLanguageUncached(Cond, WantMatch))
-             .first;
-  return It->second;
+  MemoKey Key;
+  std::string &Text = Key.Shape;
+  Text += char('0' + int(Cond.CondKind));
+  Text += WantMatch ? '+' : '-';
+  Text += char('0' + int(Cond.LenOp));
+  Text += std::to_string(Cond.LenBound) + "," +
+          std::to_string(Cond.SubOffset) + "," +
+          std::to_string(Cond.SubLength) + "|";
+  Text += Cond.Pattern;
+  Text += '\0';
+  Text += Cond.Literal;
+  if (std::optional<Nfa> Hit = Memo.find(Key))
+    return std::move(*Hit);
+  Nfa Lang = conditionLanguageUncached(Cond, WantMatch);
+  Memo.insert(std::move(Key), Lang);
+  return Lang;
 }
 
 /// Appends the branch constraint for \p Cond (outcome \p Taken) to

@@ -5,6 +5,7 @@
 #include "automata/Decide.h"
 #include "automata/Serialize.h"
 #include "solver/ConstraintParser.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <utility>
@@ -40,18 +41,9 @@ uint64_t fnvMix(uint64_t H, uint64_t V) {
   return H;
 }
 
-uint64_t fnvString(const std::string &S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// The structural fingerprint that pins a request to its shard. decide
-/// uses the same machine-pair combination as the DecisionCache shard
-/// function (rotate keeps (A, B) and (B, A) apart); solve folds every
+/// combines the operands' identity hashes (structuralHash; the rotate
+/// keeps (A, B) and (B, A) apart); solve folds the hash of every
 /// constant machine of the parsed constraint system. nullopt when the
 /// params do not parse — the request then routes by raw text and the
 /// worker stays authoritative for the error.
@@ -84,7 +76,7 @@ std::optional<uint64_t> structuralRequestHash(const Request &R) {
     const Json *Sid = R.Params.find("session");
     if (!Sid || !Sid->isString())
       return std::nullopt;
-    return fnvString("session:" + Sid->asString());
+    return fnv1a("session:" + Sid->asString());
   }
   if (R.Method == "solve") {
     const Json *Text = R.Params.find("constraints");
@@ -186,9 +178,9 @@ unsigned Router::shardFor(const std::string &Line) const {
   uint64_t H;
   if (P.ok()) {
     std::optional<uint64_t> SH = structuralRequestHash(*P.Req);
-    H = SH ? *SH : fnvString(Line);
+    H = SH ? *SH : fnv1a(Line);
   } else {
-    H = fnvString(Line);
+    H = fnv1a(Line);
   }
   return static_cast<unsigned>(H % Opts.Shards);
 }
@@ -216,7 +208,7 @@ LineHandler::Submit Router::submitLine(const std::string &Line,
   // is authoritative for unknown-method and invalid-params errors.
   std::optional<uint64_t> SH = structuralRequestHash(R);
   unsigned Shard =
-      static_cast<unsigned>((SH ? *SH : fnvString(Line)) % Opts.Shards);
+      static_cast<unsigned>((SH ? *SH : fnv1a(Line)) % Opts.Shards);
   Pending P2;
   P2.OriginalId = R.Id;
   P2.Respond = std::move(Respond);

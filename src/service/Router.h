@@ -7,12 +7,13 @@
 /// The front ends — stdio loop and socket Listener — are unchanged; they
 /// feed a Router exactly as they would a SolverService.
 ///
-/// Routing is *structural*: a decide request is hashed by the same
-/// marker-free machine-pair fingerprint the DecisionCache interns
-/// (structuralHash, Decide.h), and a solve request by the fold of its
-/// constraint machines. Structurally identical queries therefore always
-/// land on the same worker, whose in-process decision cache stays hot —
-/// the whole point of sharding by content rather than round-robin.
+/// Routing is *structural*: a decide request is hashed by its operands'
+/// identity hashes (structuralHash, Decide.h: the hash of the same
+/// marker-free identity the DecisionCache keys by), and a solve request
+/// by the fold of its constraint machines' hashes. Structurally identical
+/// queries therefore always land on the same worker, whose in-process
+/// decision cache stays hot — the whole point of sharding by content
+/// rather than round-robin.
 /// Requests whose params do not parse route by a raw-text hash to an
 /// arbitrary worker, which stays authoritative for the error response.
 ///

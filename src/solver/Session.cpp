@@ -2,13 +2,13 @@
 
 #include "solver/Session.h"
 
-#include "automata/Decide.h"
 #include "automata/OpStats.h"
 #include "solver/ConstraintParser.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace dprle;
 
@@ -41,26 +41,6 @@ struct RegisterSessionStats {
   }
 };
 RegisterSessionStats RegisterSessionStatsInit;
-
-/// Bounds on the per-session content caches; overflowing flushes the
-/// offending cache wholesale (simple, and a session's working set is tiny
-/// next to these).
-constexpr size_t MaxCachedGroups = 1 << 9;
-constexpr size_t MaxCachedFreeVars = 1 << 10;
-constexpr size_t MaxCachedSubsetChecks = 1 << 12;
-
-void appendU64(std::string &Out, uint64_t V) {
-  for (unsigned I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>(V >> (I * 8)));
-}
-
-/// Length-prefixed structural machine encoding, so concatenated encodings
-/// stay injective.
-void appendMachine(std::string &Out, const Nfa &M) {
-  std::string Enc = structuralEncoding(M);
-  appendU64(Out, Enc.size());
-  Out += Enc;
-}
 
 /// NodeId -> position within \p Group.
 std::unordered_map<NodeId, uint32_t>
@@ -164,41 +144,27 @@ void ReuseTable::clear() {
   SubsetOk.clear();
 }
 
-bool ReuseTable::knownSubset(const Nfa &Sub, const Nfa &Super,
-                             std::string &Key) {
-  appendMachine(Key, Sub);
-  appendMachine(Key, Super);
-  if (!SubsetOk.count(Key))
+bool ReuseTable::knownSubset(const Nfa &Sub, const Nfa &Super, MemoKey &Key) {
+  Key.addMachine(Sub);
+  Key.addMachine(Super);
+  if (!SubsetOk.find(Key))
     return false;
   ++Info.SubsetChecksReused;
   return true;
 }
 
-void ReuseTable::storeSubset(std::string Key) {
-  if (SubsetOk.size() >= MaxCachedSubsetChecks)
-    SubsetOk.clear();
-  SubsetOk.insert(std::move(Key));
-}
-
-const Nfa *ReuseTable::findFreeVar(const DependencyGraph &G,
-                                   const std::vector<NodeId> &Constraining,
-                                   const SolverOptions &Opts,
-                                   std::string &Key) {
+std::optional<Nfa>
+ReuseTable::findFreeVar(const DependencyGraph &G,
+                        const std::vector<NodeId> &Constraining,
+                        const SolverOptions &Opts, MemoKey &Key) {
   ++Info.FreeVarsTotal;
-  Key.push_back(Opts.MinimizeIntermediates ? 1 : 0);
+  Key.Shape.push_back(Opts.MinimizeIntermediates ? 1 : 0);
   for (NodeId C : Constraining)
-    appendMachine(Key, G.constantLanguage(C));
-  auto It = FreeVars.find(Key);
-  if (It == FreeVars.end())
-    return nullptr;
-  ++Info.FreeVarsReused;
-  return &It->second;
-}
-
-void ReuseTable::storeFreeVar(std::string Key, const Nfa &Language) {
-  if (FreeVars.size() >= MaxCachedFreeVars)
-    FreeVars.clear();
-  FreeVars.emplace(std::move(Key), Language);
+    Key.addMachine(G.constantLanguage(C));
+  std::optional<Nfa> Hit = FreeVars.find(Key);
+  if (Hit)
+    ++Info.FreeVarsReused;
+  return Hit;
 }
 
 /// The content key of one CI-group: node kinds and constant machines in
@@ -211,20 +177,19 @@ void ReuseTable::storeFreeVar(std::string Key, const Nfa &Language) {
 /// re-solve.
 bool ReuseTable::findGroup(const DependencyGraph &G,
                            const std::vector<NodeId> &Group,
-                           const SolverOptions &Opts, std::string &Key,
+                           const SolverOptions &Opts, MemoKey &Key,
                            GciResult &Out) {
   ++Info.GroupsTotal;
   if (std::any_of(Group.begin(), Group.end(),
                   [&](NodeId N) { return Dirty[N]; }))
     ++Info.DirtyGroups;
 
-  Key.reserve(64 + Group.size() * 16);
-  appendU64(Key, Group.size());
+  Key.addNumber(Group.size());
   std::unordered_map<NodeId, uint32_t> PosOf = positions(Group);
   for (NodeId N : Group) {
-    Key.push_back(static_cast<char>(G.kind(N)));
+    Key.Shape.push_back(static_cast<char>(G.kind(N)));
     if (G.kind(N) == NodeKind::Constant)
-      appendMachine(Key, G.constantLanguage(N));
+      Key.addMachine(G.constantLanguage(N));
   }
   // Concat edges internal to the group, in global edge order (the order
   // gci traverses them), as position triples.
@@ -232,30 +197,30 @@ bool ReuseTable::findGroup(const DependencyGraph &G,
     auto It = PosOf.find(E.Target);
     if (It == PosOf.end())
       continue;
-    appendU64(Key, PosOf.at(E.Lhs));
-    appendU64(Key, PosOf.at(E.Rhs));
-    appendU64(Key, It->second);
+    Key.addNumber(PosOf.at(E.Lhs));
+    Key.addNumber(PosOf.at(E.Rhs));
+    Key.addNumber(It->second);
   }
   // Inbound subset constraints per node, in group order. The constraining
   // constants usually live *outside* the group (constraint RHS machines),
   // so their content — not their position — is the identity.
   for (NodeId N : Group) {
     std::vector<NodeId> Constraining = G.subsetConstraintsOn(N);
-    appendU64(Key, Constraining.size());
+    Key.addNumber(Constraining.size());
     for (NodeId C : Constraining)
-      appendMachine(Key, G.constantLanguage(C));
+      Key.addMachine(G.constantLanguage(C));
   }
-  appendU64(Key, Opts.MaxSolutions);
-  Key.push_back(Opts.MinimizeIntermediates ? 1 : 0);
-  Key.push_back(Opts.DedupSolutions ? 1 : 0);
-  Key.push_back(Opts.MaximizeSolutions ? 1 : 0);
-  Key.push_back(Opts.CanonicalizeConstants ? 1 : 0);
+  Key.addNumber(Opts.MaxSolutions);
+  Key.Shape.push_back(Opts.MinimizeIntermediates ? 1 : 0);
+  Key.Shape.push_back(Opts.DedupSolutions ? 1 : 0);
+  Key.Shape.push_back(Opts.MaximizeSolutions ? 1 : 0);
+  Key.Shape.push_back(Opts.CanonicalizeConstants ? 1 : 0);
 
-  auto It = Groups.find(Key);
-  if (It == Groups.end())
+  std::optional<GciResult> Hit = Groups.find(Key);
+  if (!Hit)
     return false;
   ++Info.GroupsReused;
-  Out = It->second;
+  Out = std::move(*Hit);
   for (std::map<NodeId, Nfa> &Sol : Out.Solutions) {
     std::map<NodeId, Nfa> Remapped;
     for (auto &[Pos, Lang] : Sol)
@@ -265,7 +230,7 @@ bool ReuseTable::findGroup(const DependencyGraph &G,
   return true;
 }
 
-void ReuseTable::storeGroup(std::string Key, const std::vector<NodeId> &Group,
+void ReuseTable::storeGroup(MemoKey Key, const std::vector<NodeId> &Group,
                             const GciResult &Result) {
   std::unordered_map<NodeId, uint32_t> PosOf = positions(Group);
   GciResult Entry = Result;
@@ -275,9 +240,7 @@ void ReuseTable::storeGroup(std::string Key, const std::vector<NodeId> &Group,
       Positional.emplace(PosOf.at(N), std::move(Lang));
     Sol = std::move(Positional);
   }
-  if (Groups.size() >= MaxCachedGroups)
-    Groups.clear();
-  Groups.emplace(std::move(Key), std::move(Entry));
+  Groups.insert(std::move(Key), std::move(Entry));
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,8 +14,9 @@
 /// instead of re-minimizing them) and runs the same solvePipeline() as
 /// Solver::solve (Solver.h), handing it the session's ReuseTable.
 /// Constant-inclusion verdicts, free-variable reduce languages, and
-/// CI-group results are looked up by *content* (the same structural
-/// machine encoding as the DecisionCache plus group shape), so reuse
+/// CI-group results are looked up by *content* (the constants' identity
+/// handles, the same identity the DecisionCache keys by, plus group
+/// shape), so reuse
 /// survives pop(): re-asserting earlier state hits the cache even though
 /// the frame stack churned. The delta's dirty region (forward reachability
 /// over the concat edges) is diagnostic only: it feeds
@@ -43,6 +44,7 @@
 #ifndef DPRLE_SOLVER_SESSION_H
 #define DPRLE_SOLVER_SESSION_H
 
+#include "automata/MemoTable.h"
 #include "solver/Problem.h"
 #include "solver/Solution.h"
 #include "solver/Solver.h"
@@ -52,8 +54,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dprle {
@@ -123,12 +123,14 @@ struct SessionCheckOptions {
 
 /// The session's content-keyed warm caches, consulted by solvePipeline()
 /// (Solver.h) during a check: constant inclusions that held, free-variable
-/// reduce languages, and CI-group results. Keys are structural machine
-/// encodings plus group shape and the result-affecting options, never
-/// NodeIds. The pipeline files only completed results — nothing computed
-/// under a fired token or a tripped budget — and never a failed inclusion,
-/// so a hit cannot mask a violation the cold solver would report. Bounded:
-/// overflow flushes the offending cache wholesale.
+/// reduce languages, and CI-group results. Each is a MemoTable
+/// (automata/MemoTable.h) keyed by a MemoKey: group shape and the
+/// result-affecting options as bytes, plus the identity handles of the
+/// constant machines involved, never NodeIds. The pipeline files only
+/// completed results — nothing computed under a fired token, and the
+/// table refuses anything computed under a tripped budget — and never a
+/// failed inclusion, so a hit cannot mask a violation the cold solver
+/// would report. Bounded: overflow flushes the offending cache wholesale.
 class ReuseTable {
 public:
   /// The current check's diagnostics. The lookups below count their hits
@@ -141,34 +143,37 @@ public:
   /// Drops every cached entry.
   void clear();
 
+  /// Constant inclusions known to hold, and free-variable reduce
+  /// languages; file completed results under the keys the lookups below
+  /// return. The bounds (one stripe each, as for Groups) are generous next
+  /// to a session's working set; overflow flushes the table wholesale.
+  MemoTable<bool> SubsetOk{/*NumStripes=*/1, /*MaxEntriesPerStripe=*/4096};
+  MemoTable<Nfa> FreeVars{/*NumStripes=*/1, /*MaxEntriesPerStripe=*/1024};
+
   /// True when `Sub ⊆ Super` is known to hold; otherwise \p Key receives
-  /// the pair's key for storeSubset().
-  bool knownSubset(const Nfa &Sub, const Nfa &Super, std::string &Key);
-  void storeSubset(std::string Key);
+  /// the pair's key for SubsetOk.
+  bool knownSubset(const Nfa &Sub, const Nfa &Super, MemoKey &Key);
 
   /// The reduce language of a free variable constrained by
-  /// \p Constraining, or null when unknown (\p Key then receives the key
-  /// for storeFreeVar()).
-  const Nfa *findFreeVar(const DependencyGraph &G,
-                         const std::vector<NodeId> &Constraining,
-                         const SolverOptions &Opts, std::string &Key);
-  void storeFreeVar(std::string Key, const Nfa &Language);
+  /// \p Constraining, or nullopt when unknown (\p Key then receives the
+  /// key for FreeVars).
+  std::optional<Nfa> findFreeVar(const DependencyGraph &G,
+                                 const std::vector<NodeId> &Constraining,
+                                 const SolverOptions &Opts, MemoKey &Key);
 
   /// True when a result for \p Group is cached: \p Out receives it, with
   /// NodeIds of \p Group. Otherwise \p Key receives the group's key for
   /// storeGroup().
   bool findGroup(const DependencyGraph &G, const std::vector<NodeId> &Group,
-                 const SolverOptions &Opts, std::string &Key, GciResult &Out);
-  void storeGroup(std::string Key, const std::vector<NodeId> &Group,
+                 const SolverOptions &Opts, MemoKey &Key, GciResult &Out);
+  void storeGroup(MemoKey Key, const std::vector<NodeId> &Group,
                   const GciResult &Result);
 
 private:
   /// Group results with NodeIds rewritten to positions within the
   /// (topologically ordered) group, so a later check can splice them
   /// under its own node numbering.
-  std::unordered_map<std::string, GciResult> Groups;
-  std::unordered_map<std::string, Nfa> FreeVars;
-  std::unordered_set<std::string> SubsetOk;
+  MemoTable<GciResult> Groups{/*NumStripes=*/1, /*MaxEntriesPerStripe=*/512};
 };
 
 /// An incremental solving session; see the file comment.

@@ -89,7 +89,7 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
         continue;
       const Nfa &Sub = G.constantLanguage(E.To);
       const Nfa &Super = G.constantLanguage(E.From);
-      std::string Key;
+      MemoKey Key;
       if (Reuse && Reuse->knownSubset(Sub, Super, Key))
         continue;
       if (!isSubsetOf(Sub, Super)) {
@@ -101,8 +101,8 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
                                      << " is violated");
         return Finish(false);
       }
-      if (Reuse && !Exhausted())
-        Reuse->storeSubset(std::move(Key));
+      if (Reuse)
+        Reuse->SubsetOk.insert(std::move(Key), true);
     }
 
     for (VarId V = 0; V != P.numVariables(); ++V) {
@@ -118,12 +118,12 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
         continue;
       }
       std::vector<NodeId> Constraining = G.subsetConstraintsOn(N);
-      std::string Key;
-      if (const Nfa *Hit =
+      MemoKey Key;
+      if (std::optional<Nfa> Hit =
               Reuse ? Reuse->findFreeVar(G, Constraining, Opts, Key)
-                    : nullptr) {
+                    : std::nullopt) {
         // The splice stands in for the same intersections.
-        FreeLanguage[V] = *Hit;
+        FreeLanguage[V] = std::move(*Hit);
         Result.Stats.SubsetIntersections += Constraining.size();
         continue;
       }
@@ -146,7 +146,7 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
         return Finish(false);
       }
       if (Reuse)
-        Reuse->storeFreeVar(std::move(Key), M);
+        Reuse->FreeVars.insert(std::move(Key), M);
       FreeLanguage[V] = std::move(M);
     }
   }
@@ -181,7 +181,7 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
       Selected.push_back(&Group);
   }
   std::vector<GciResult> GroupResults(Selected.size());
-  std::vector<std::string> Keys(Selected.size());
+  std::vector<MemoKey> Keys(Selected.size());
   std::vector<bool> Spliced(Selected.size(), false);
   std::vector<size_t> Missing;
   for (size_t I = 0; I != Selected.size(); ++I) {

@@ -9,7 +9,9 @@
 #ifndef DPRLE_SUPPORT_STRINGUTILS_H
 #define DPRLE_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dprle {
@@ -38,6 +40,15 @@ bool isRegexMetaChar(unsigned char C);
 /// advancing \p Pos past the digits. Returns -1 if no digit is present;
 /// values past LONG_MAX saturate to LONG_MAX.
 long parseDecimal(const std::string &Str, size_t &Pos);
+
+/// FNV-1a (64-bit) over \p Bytes, continuing from \p H: cheap,
+/// dependency-free and identical in every process, unlike std::hash.
+inline uint64_t fnv1a(std::string_view Bytes,
+                      uint64_t H = 14695981039346656037ull) {
+  for (unsigned char C : Bytes)
+    H = (H ^ C) * 1099511628211ull;
+  return H;
+}
 
 /// Strict UTF-8 validation: true iff \p Str is a well-formed UTF-8 byte
 /// sequence (rejects overlong encodings, surrogates, and code points past

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 using namespace dprle;
 
@@ -236,6 +237,58 @@ $q = query("SELECT * FROM t WHERE id=" . $id);
       miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
   EXPECT_FALSE(Full.ResourceExhausted);
   EXPECT_EQ(Full.Paths.size(), 1u);
+}
+
+TEST(BudgetTest, SymExecConditionMemoIsNotPoisonedByATrippedBudget) {
+  // The else branch needs the complement of a ~2^11-state language; a
+  // 200-state budget trips while it is built. The condition-language memo
+  // must not keep that truncated machine for later, ungoverned runs.
+  const char *Source = R"php(<?php
+$x = $_POST['x'];
+if (preg_match('/^(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)$/', $x)) {
+  exit;
+} else {
+  $q = query("SELECT * FROM t WHERE id=" . $x);
+}
+?>)php";
+  miniphp::ParseResult R = miniphp::parseProgram(Source);
+  ASSERT_TRUE(R.Ok);
+  miniphp::Cfg G = miniphp::Cfg::build(R.Prog);
+  // "a" then ten symbols: matches the pattern, so it takes the then
+  // branch and must be outside the else branch's condition language.
+  const std::string ThenInput = "abbbbbbbbbb";
+  auto ElseMachinesOfX = [&](const miniphp::SymExecResult &SR) {
+    std::vector<Nfa> Out;
+    for (const miniphp::PathCondition &PC : SR.Paths)
+      for (const Constraint &C : PC.Instance.constraints())
+        if (C.Lhs.size() == 1 && C.Lhs[0].isVariable())
+          Out.push_back(C.Rhs);
+    return Out;
+  };
+
+  {
+    ResourceBudget Budget(statesLimit(200));
+    miniphp::SymExecOptions Opts;
+    Opts.Budget = &Budget;
+    miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote(), Opts);
+    ASSERT_TRUE(Budget.exhausted());
+  }
+  miniphp::SymExecResult Same =
+      miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
+  miniphp::SymExecResult Fresh;
+  std::thread([&] {
+    Fresh = miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
+  }).join();
+
+  std::vector<Nfa> SameX = ElseMachinesOfX(Same);
+  std::vector<Nfa> FreshX = ElseMachinesOfX(Fresh);
+  ASSERT_FALSE(FreshX.empty());
+  ASSERT_EQ(SameX.size(), FreshX.size());
+  for (size_t I = 0; I != SameX.size(); ++I) {
+    EXPECT_FALSE(SameX[I].accepts(ThenInput));
+    EXPECT_EQ(SameX[I].numStates(), FreshX[I].numStates());
+    EXPECT_EQ(structuralHash(SameX[I]), structuralHash(FreshX[I]));
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,6 +29,7 @@
 #include "support/FaultInjector.h"
 #include "support/Json.h"
 #include "support/Stats.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -312,10 +313,9 @@ int dprle::tools::runSolve(const std::vector<std::string> &Args,
     if (Arg == "--first")
       Opts.MaxSolutions = 1;
     else if (Arg == "--no-decision-cache") {
-      // Both memo tables share the structural-encoding keying; the flag
-      // means "no cross-run memoization", so it disables both.
+      // One switch turns off both machine memos (decide answers and
+      // minimize results): no cross-run memoization.
       DecisionCache::global().setEnabled(false);
-      setMinimizeCacheEnabled(false);
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseUnsignedOption(Arg, "--jobs=", Jobs, Err) || Jobs == 0) {
         if (Jobs == 0)
@@ -423,7 +423,6 @@ int dprle::tools::runAnalyze(const std::vector<std::string> &Args,
       Opts.TaintPrune = false;
     } else if (Arg == "--no-decision-cache") {
       DecisionCache::global().setEnabled(false);
-      setMinimizeCacheEnabled(false);
     } else if (Obs.consume(Arg)) {
       continue;
     } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
@@ -520,7 +519,6 @@ int dprle::tools::runTaint(const std::vector<std::string> &Args,
       Attack = P->Attack;
     } else if (Arg == "--no-decision-cache") {
       DecisionCache::global().setEnabled(false);
-      setMinimizeCacheEnabled(false);
     } else if (Obs.consume(Arg)) {
       continue;
     } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
@@ -671,16 +669,6 @@ bool auditFileReport(const std::string &Path, const std::string &Source,
   return true;
 }
 
-/// FNV-1a content hash for the --watch change detector.
-uint64_t contentHash(const std::string &S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// The `dprle audit --watch=<dir>` streaming loop: poll the directory,
 /// re-audit only files whose *content* changed (mtime churn with equal
 /// bytes is a no-op), one NDJSON report line per sweep. The process-wide
@@ -717,7 +705,7 @@ int runAuditWatch(const std::string &Dir, uint64_t PollMs, uint64_t MaxSweeps,
       std::ostringstream Buffer;
       Buffer << InFile.rdbuf();
       std::string Source = Buffer.str();
-      uint64_t Hash = contentHash(Source);
+      uint64_t Hash = fnv1a(Source);
       auto It = Seen.find(Path);
       if (It != Seen.end() && It->second == Hash) {
         Next[Path] = Hash;
@@ -809,7 +797,6 @@ int dprle::tools::runAudit(const std::vector<std::string> &Args,
       Opts.TaintPrune = false;
     } else if (Arg == "--no-decision-cache") {
       DecisionCache::global().setEnabled(false);
-      setMinimizeCacheEnabled(false);
     } else if (Obs.consume(Arg)) {
       continue;
     } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
@@ -1290,7 +1277,6 @@ int dprle::tools::runRepl(const std::vector<std::string> &Args,
       Opts.MaxSolutions = 1;
     else if (Arg == "--no-decision-cache") {
       DecisionCache::global().setEnabled(false);
-      setMinimizeCacheEnabled(false);
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseUnsignedOption(Arg, "--jobs=", Jobs, Err) || Jobs == 0) {
         if (Jobs == 0)
