@@ -333,7 +333,7 @@ void BM_SubsetCheck(benchmark::State &State) {
   Nfa Small = literalChain(State.range(0));
   Nfa Big = searchChain(State.range(0) / 2);
   for (auto _ : State) {
-    bool R = isSubsetOf(Small, Big);
+    bool R = subsetOf(Small, Big);
     benchmark::DoNotOptimize(R);
   }
   State.SetComplexityN(State.range(0));

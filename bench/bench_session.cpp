@@ -113,14 +113,13 @@ std::vector<Instance> buildInstances(bool Smoke) {
   return Out;
 }
 
-/// Everything the session equivalence guarantee covers: status bits plus
+/// Everything the session equivalence guarantee covers: the status bit plus
 /// per-assignment languages and witnesses (stats counters excluded — a
 /// warm check legitimately does less work).
 std::string fingerprint(const SolveResult &R) {
   std::ostringstream Os;
-  Os << "sat=" << R.Satisfiable << " cancelled=" << R.Cancelled
-     << " exhausted=" << R.ResourceExhausted << " n=" << R.Assignments.size()
-     << "\n";
+  Os << "sat=" << R.Satisfiable << " interrupted=" << R.Interrupted
+     << " n=" << R.Assignments.size() << "\n";
   for (const Assignment &A : R.Assignments)
     for (VarId V = 0; V != A.numVariables(); ++V) {
       std::optional<std::string> W = A.witness(V);

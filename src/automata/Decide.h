@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Boolean language queries answered *without materializing result
-/// machines*. The classical implementations in NfaOps.h construct the full
-/// answer machine first — isSubsetOf(L, R) determinizes and complements R,
-/// builds the complete product, and only then walks it looking for an
-/// accepting state. These queries dominate the innermost loops of the
-/// solver (reduce, gci verification, solution dedup) and of the taint
-/// pre-pass (proven-safe intersection tests), yet almost every call only
-/// needs a yes/no answer and, occasionally, one witness string.
+/// Boolean language queries answered *without materializing result machines*.
+/// The classical construction builds the full answer machine first — L ⊆ R as
+/// difference(L, R).languageIsEmpty() (NfaOps.h) determinizes and complements
+/// R, builds the complete product, and only then walks it looking for an
+/// accepting state. These queries dominate the innermost loops of the solver
+/// (reduce, gci verification, solution dedup) and of the taint pre-pass
+/// (proven-safe intersection tests), yet almost every call only needs a yes/no
+/// answer and, occasionally, one witness string.
 ///
 /// This kernel answers them on the fly:
 ///

@@ -429,17 +429,6 @@ Nfa dprle::minimized(const Nfa &M) {
   return Result;
 }
 
-bool dprle::isSubsetOf(const Nfa &Lhs, const Nfa &Rhs) {
-  // Answered by the on-the-fly decision kernel (Decide.h); the
-  // materialized difference().languageIsEmpty() equivalent survives only
-  // as the differential-test baseline in tests/DecideTest.cpp.
-  return subsetOf(Lhs, Rhs);
-}
-
-bool dprle::equivalent(const Nfa &Lhs, const Nfa &Rhs) {
-  return equivalentTo(Lhs, Rhs);
-}
-
 //===----------------------------------------------------------------------===//
 // Quotients
 //===----------------------------------------------------------------------===//

@@ -108,10 +108,6 @@ void clearMinimizeCache();
 /// Cached entries right now (diagnostics; momentary under concurrency).
 size_t minimizeCacheSize();
 
-/// Decidable language comparisons.
-bool isSubsetOf(const Nfa &Lhs, const Nfa &Rhs);
-bool equivalent(const Nfa &Lhs, const Nfa &Rhs);
-
 /// Right quotient: { w | ∃ s ∈ L(Suffixes): w.s ∈ L(K) }.
 ///
 /// The solver's maximization step uses quotients to compute the largest

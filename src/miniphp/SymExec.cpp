@@ -9,6 +9,7 @@
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
 #include "solver/Extensions.h"
+#include "support/Budget.h"
 #include "support/Stats.h"
 
 #include <cassert>
@@ -350,9 +351,6 @@ public:
   }
 
   std::vector<PathCondition> run() {
-    // Charge the constraint machines the explorer builds (literals,
-    // attack-language copies, length languages) against the run's budget.
-    ResourceGuard BudgetScope(Opts.Budget);
     PathState Init;
     Init.Block = G.entry();
     explore(std::move(Init));
@@ -360,15 +358,15 @@ public:
   }
 
   /// True when the budget tripped and the enumeration was truncated.
-  bool exhausted() const { return Exhausted; }
+  bool interrupted() const { return Interrupted; }
 
 private:
   void explore(PathState State) {
     if (Results.size() >= Opts.MaxPaths)
       return;
-    if (Opts.Budget && Opts.Budget->exhausted()) {
+    if (ResourceGuard::exhausted()) {
       // Cooperative unwind: stop enumerating, keep the paths built so far.
-      Exhausted = true;
+      Interrupted = true;
       return;
     }
     if (PruneSlices && !PruneSlices->ReachesLiveSink[State.Block]) {
@@ -470,7 +468,7 @@ private:
   /// Sinks the taint pre-pass proved safe.
   std::set<const Stmt *> SafeSinks;
   std::vector<PathCondition> Results;
-  bool Exhausted = false;
+  bool Interrupted = false;
 };
 
 /// One shared walk of the CFG for N attack specs. Each path carries a
@@ -504,7 +502,6 @@ public:
   }
 
   std::vector<std::vector<PathCondition>> run() {
-    ResourceGuard BudgetScope(Opts.Budget);
     PathState Init;
     Init.Block = G.entry();
     if (!Specs.empty())
@@ -517,7 +514,7 @@ public:
   }
 
   /// True when the budget tripped and the enumeration was truncated.
-  bool exhausted() const { return Exhausted; }
+  bool interrupted() const { return Interrupted; }
 
 private:
   /// The subset of \p Mask whose specs can still reach one of their own
@@ -543,9 +540,9 @@ private:
         State.ActiveMask &= ~(uint64_t(1) << I);
     if (!State.ActiveMask)
       return;
-    if (Opts.Budget && Opts.Budget->exhausted()) {
+    if (ResourceGuard::exhausted()) {
       // Cooperative unwind: stop enumerating, keep the paths built so far.
-      Exhausted = true;
+      Interrupted = true;
       return;
     }
     State.ActiveMask = liveAt(State.ActiveMask, State.Block);
@@ -655,7 +652,7 @@ private:
   /// Per spec: sinks its taint pre-pass proved safe.
   std::vector<std::set<const Stmt *>> SafeSinks;
   std::vector<std::vector<PathCondition>> Results;
-  bool Exhausted = false;
+  bool Interrupted = false;
 };
 
 } // namespace
@@ -684,7 +681,7 @@ SymExecResult dprle::miniphp::runSymExec(const Program &P, const Cfg &G,
     }
   }
   Result.Paths = E.run();
-  Result.ResourceExhausted = E.exhausted();
+  Result.Interrupted = E.interrupted();
   return Result;
 }
 
@@ -732,7 +729,7 @@ dprle::miniphp::runSymExecAll(const Program &P, const Cfg &G,
   std::vector<std::vector<PathCondition>> Paths = E.run();
   for (size_t I = 0; I != Specs.size(); ++I) {
     Results[I].Paths = std::move(Paths[I]);
-    Results[I].ResourceExhausted = E.exhausted();
+    Results[I].Interrupted = E.interrupted();
   }
   return Results;
 }

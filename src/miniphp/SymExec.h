@@ -26,7 +26,6 @@
 #include "miniphp/Cfg.h"
 #include "miniphp/Policy.h"
 #include "solver/Problem.h"
-#include "support/Budget.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -76,11 +75,6 @@ struct SymExecOptions {
   /// changes the raw sink-path counts that the Figure 11/12 baselines
   /// pin (docs/PERFORMANCE.md).
   bool ConstantFeasibilityPrune = false;
-  /// Optional resource budget (docs/ROBUSTNESS.md): installed as the
-  /// run's ambient ResourceGuard so the NFA constraint machines the
-  /// explorer builds are charged; exploration stops (with
-  /// SymExecResult::ResourceExhausted set) when it trips.
-  ResourceBudget *Budget = nullptr;
 };
 
 /// The outcome of one symbolic-execution run.
@@ -94,9 +88,11 @@ struct SymExecResult {
   unsigned SinksProvenSafe = 0;
   /// True when the taint pre-pass ran and its facts were used.
   bool TaintUsed = false;
-  /// True when SymExecOptions::Budget tripped mid-run: Paths is then a
-  /// truncated enumeration, not the full path set.
-  bool ResourceExhausted = false;
+  /// True when the calling thread's ambient budget (support/Budget.h)
+  /// tripped mid-run: Paths is then a truncated enumeration, not the full
+  /// path set. The NFA constraint machines the explorer builds are charged
+  /// to that budget, and exploration polls it at every block.
+  bool Interrupted = false;
 };
 
 /// Process-wide counters for the explorer, published to the StatsRegistry

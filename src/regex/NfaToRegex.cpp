@@ -2,6 +2,7 @@
 
 #include "regex/NfaToRegex.h"
 #include "automata/NfaOps.h"
+#include "support/Budget.h"
 #include "support/StringUtils.h"
 
 #include <map>
@@ -57,6 +58,10 @@ Fragment starFragment(const Fragment &A) {
   return {A.atPrec(3) + "*", 2, false};
 }
 
+/// Fragment text is charged to the ambient budget once this much has
+/// accumulated within an elimination step, and at the end of every step.
+constexpr uint64_t ChargeQuantumBytes = 64 * 1024;
+
 } // namespace
 
 std::string dprle::nfaToRegex(const Nfa &Input) {
@@ -70,12 +75,14 @@ std::string dprle::nfaToRegex(const Nfa &Input) {
   const unsigned GStart = N, GFinal = N + 1;
   std::map<std::pair<unsigned, unsigned>, Fragment> Edges;
 
+  // Returns the length of the edge's new text.
   auto AddEdge = [&](unsigned From, unsigned To, const Fragment &F) {
     auto It = Edges.find({From, To});
     if (It == Edges.end())
-      Edges.emplace(std::make_pair(From, To), F);
+      It = Edges.emplace(std::make_pair(From, To), F).first;
     else
       It->second = alternateFragments(It->second, F);
+    return It->second.Text.size();
   };
 
   for (StateId S = 0; S != N; ++S) {
@@ -103,7 +110,15 @@ std::string dprle::nfaToRegex(const Nfa &Input) {
   for (StateId S : M.acceptingStates())
     AddEdge(S, GFinal, epsilonFragment());
 
-  // Eliminate original states one at a time.
+  // Eliminate original states one at a time. The text each step adds is
+  // charged to the ambient budget as memory; once it trips the render
+  // stops, and the caller reads the interrupt from its budget.
+  uint64_t Uncharged = 0;
+  auto Charge = [&] {
+    bool Running = ResourceGuard::chargeMemory(Uncharged);
+    Uncharged = 0;
+    return Running;
+  };
   for (unsigned Victim = 0; Victim != N; ++Victim) {
     // Collect incoming and outgoing edges of Victim.
     std::optional<Fragment> SelfLoop;
@@ -128,9 +143,14 @@ std::string dprle::nfaToRegex(const Nfa &Input) {
       continue;
     Fragment Loop = SelfLoop ? starFragment(*SelfLoop) : epsilonFragment();
     for (const auto &[From, FIn] : In)
-      for (const auto &[To, FOut] : Out)
-        AddEdge(From, To,
-                concatFragments(concatFragments(FIn, Loop), FOut));
+      for (const auto &[To, FOut] : Out) {
+        Uncharged += AddEdge(
+            From, To, concatFragments(concatFragments(FIn, Loop), FOut));
+        if (Uncharged >= ChargeQuantumBytes && !Charge())
+          return "";
+      }
+    if (!Charge())
+      return "";
   }
 
   auto It = Edges.find({GStart, GFinal});

@@ -47,14 +47,6 @@ Json decideDelta(const StatsRegistry::Snapshot &Before) {
   return Out;
 }
 
-/// Cancellation-aware error: deadline expiry reports as timeout, an
-/// explicit cancel as cancelled.
-Json cancelError(const Json &Id, const CancellationToken &Token) {
-  if (Token.deadlineExpired())
-    return makeError(Id, ErrorCode::Timeout, "deadline exceeded");
-  return makeError(Id, ErrorCode::Cancelled, "request cancelled");
-}
-
 /// Reads an optional unsigned param; false on type error.
 bool readUnsigned(const Json &Params, const char *Name, uint64_t &Out,
                   bool &Present) {
@@ -69,25 +61,90 @@ bool readUnsigned(const Json &Params, const char *Name, uint64_t &Out,
   return true;
 }
 
-/// Budget-exhaustion error: names the breached dimension so clients can
-/// tell "raise max_states" apart from "raise max_memory_bytes".
-Json resourceError(const Json &Id, const ResourceBudget &Budget) {
+/// Reads the optional max_solutions param into \p Out (0 when absent);
+/// false, with \p Err set, unless it is a positive number.
+bool readMaxSolutions(const Request &R, uint64_t &Out, Json &Err) {
+  bool Present = false;
+  Out = 0;
+  if (readUnsigned(R.Params, "max_solutions", Out, Present) &&
+      (!Present || Out != 0))
+    return true;
+  Err = makeError(R.Id, ErrorCode::InvalidParams,
+                  "\"max_solutions\" must be a positive number");
+  return false;
+}
+
+/// invalid_params messages shared by solve and the session verbs.
+const char *const ConstraintsNotAString =
+    "\"constraints\" must be a string of constraint syntax (see "
+    "docs/SERVICE.md)";
+
+Json constraintParseError(const Json &Id, size_t Line,
+                          const std::string &Error) {
+  return makeError(Id, ErrorCode::InvalidParams,
+                   "constraint parse error at line " + std::to_string(Line) +
+                       ": " + Error);
+}
+
+/// The answer to a request whose budget tripped: `cancelled`, `timeout`
+/// (the budget's tie rule reports either over a resource trip), or
+/// `resource_exhausted` naming the breached dimension so clients can tell
+/// "raise max_states" apart from "raise max_memory_bytes".
+Json interruptError(const Json &Id, const ResourceBudget &Budget) {
+  BudgetDimension D = Budget.dimension();
+  if (D == BudgetDimension::Cancelled)
+    return makeError(Id, ErrorCode::Cancelled, "request cancelled");
+  if (D == BudgetDimension::Deadline)
+    return makeError(Id, ErrorCode::Timeout, "deadline exceeded");
   ++BudgetStats::global().RequestsExhausted;
   Json Details = Json::object();
-  Details["dimension"] = budgetDimensionName(Budget.dimension());
+  Details["dimension"] = budgetDimensionName(D);
   std::string Message = Budget.describeExhaustion();
   if (Message.empty())
     Message = "request resource budget exhausted";
   return makeError(Id, ErrorCode::ResourceExhausted, Message, Details);
 }
 
-/// The effective per-request limits: the server caps, lowered (never
-/// raised) by the request's max_states / max_transitions /
-/// max_memory_bytes params. MaxNfaStates doubles as the per-machine cap
-/// so intermediate products obey the same bound as request operands.
-/// False on an ill-typed param, with \p Err set.
-bool requestLimits(const ServiceOptions &Opts, const Request &R,
-                   ResourceLimits &Limits, Json &Err) {
+/// The result of solve and session_check: the verdict, every assignment
+/// rendered as regex text plus a witness per variable, and the per-request
+/// solver and decide stats. Rendering runs under the request's ambient
+/// budget; false when it tripped, leaving \p Result partial.
+bool renderSolveResult(const Problem &P, const SolveResult &SR,
+                       const StatsRegistry::Snapshot &Before, Json &Result) {
+  Result["satisfiable"] = SR.Satisfiable;
+  Json Assignments = Json::array();
+  for (const Assignment &A : SR.Assignments) {
+    Json Obj = Json::object();
+    for (VarId V = 0; V != P.numVariables(); ++V) {
+      Json Var = Json::object();
+      Var["regex"] = A.regexFor(V);
+      if (ResourceGuard::exhausted())
+        return false;
+      if (auto W = A.witness(V))
+        Var["witness"] = *W;
+      Obj[P.variableName(V)] = std::move(Var);
+    }
+    Assignments.push(std::move(Obj));
+  }
+  Result["assignments"] = std::move(Assignments);
+
+  Json SolverSection = Json::object();
+  for (const auto &[Name, Value] : SR.Stats.counters())
+    SolverSection[Name] = Value;
+  SolverSection["solve_seconds"] = SR.Stats.SolveSeconds;
+  Result["solver"] = std::move(SolverSection);
+  Result["decide"] = decideDelta(Before);
+  return true;
+}
+
+/// Sets \p Budget's limits to the effective per-request caps: the server
+/// caps, lowered (never raised) by the request's max_states /
+/// max_transitions / max_memory_bytes params. MaxNfaStates doubles as the
+/// per-machine cap so intermediate products obey the same bound as
+/// request operands. False on an ill-typed param, with \p Err set.
+bool applyRequestLimits(const ServiceOptions &Opts, const Request &R,
+                        ResourceBudget &Budget, Json &Err) {
+  ResourceLimits Limits;
   struct Knob {
     const char *Name;
     uint64_t Cap;
@@ -115,6 +172,7 @@ bool requestLimits(const ServiceOptions &Opts, const Request &R,
       *K.Out = std::min(K.Cap, Value);
   }
   Limits.MaxStatesPerMachine = Opts.MaxNfaStates;
+  Budget.setLimits(Limits);
   return true;
 }
 
@@ -280,7 +338,7 @@ void SolverService::flushJournal() {
 }
 
 Json SolverService::handleLine(const std::string &Line,
-                               CancellationToken *External) {
+                               ResourceBudget *External) {
   RequestParse P = parseRequest(Line);
   if (!P.ok())
     return makeError(P.Id, P.Code, P.Message);
@@ -288,7 +346,7 @@ Json SolverService::handleLine(const std::string &Line,
 }
 
 Json SolverService::handleRequest(const Request &R,
-                                  CancellationToken *External) {
+                                  ResourceBudget *External) {
   // Register in the in-flight table for health.inflight: the supervisor
   // hang watchdog keys off the oldest in-flight age to tell "busy" from
   // "wedged". Scope-exit removal so error paths unregister too.
@@ -311,8 +369,8 @@ Json SolverService::handleRequest(const Request &R,
   // whatever escapes the handlers — an allocation failure, an injected
   // fault — becomes a structured internal_error and the worker survives.
   try {
-    CancellationToken Local;
-    CancellationToken &Token = External ? *External : Local;
+    ResourceBudget Local;
+    ResourceBudget &Budget = External ? *External : Local;
 
     // Arm the deadline when the job starts: an explicit deadline_ms param
     // (0 is valid and expires immediately — the deterministic-timeout test
@@ -325,9 +383,9 @@ Json SolverService::handleRequest(const Request &R,
     if (FaultInjector::global().shouldFail("cancel.arm"))
       throw std::runtime_error("injected fault: deadline arming failed");
     if (HasParam)
-      Token.setDeadlineAfterMs(DeadlineMs);
+      Budget.armDeadlineAfterMs(DeadlineMs);
     else if (Opts.DefaultDeadlineMs != 0)
-      Token.setDeadlineAfterMs(Opts.DefaultDeadlineMs);
+      Budget.armDeadlineAfterMs(Opts.DefaultDeadlineMs);
 
     // Clients resending after an `overloaded` shed mark the attempt with
     // retry >= 1; the counter sizes how much work backpressure recycles.
@@ -339,7 +397,7 @@ Json SolverService::handleRequest(const Request &R,
     if (HasRetry && Retry > 0)
       ++BudgetStats::global().RequestsRetried;
 
-    return dispatch(R, Token);
+    return dispatch(R, Budget);
   } catch (const std::bad_alloc &) {
     return makeError(R.Id, ErrorCode::InternalError,
                      "out of memory while serving the request");
@@ -349,7 +407,7 @@ Json SolverService::handleRequest(const Request &R,
   }
 }
 
-Json SolverService::dispatch(const Request &R, CancellationToken &Token) {
+Json SolverService::dispatch(const Request &R, ResourceBudget &Budget) {
   if (R.Method == "ping") {
     Json Result = Json::object();
     Result["pong"] = true;
@@ -360,9 +418,9 @@ Json SolverService::dispatch(const Request &R, CancellationToken &Token) {
   if (R.Method == "health")
     return makeResult(R.Id, doHealth());
   if (R.Method == "solve")
-    return doSolve(R, Token);
+    return doSolve(R, Budget);
   if (R.Method == "decide")
-    return doDecide(R, Token);
+    return doDecide(R, Budget);
   if (R.Method == "session_open")
     return doSessionOpen(R);
   if (R.Method == "session_push")
@@ -370,7 +428,7 @@ Json SolverService::dispatch(const Request &R, CancellationToken &Token) {
   if (R.Method == "session_pop")
     return doSessionPop(R);
   if (R.Method == "session_check")
-    return doSessionCheck(R, Token);
+    return doSessionCheck(R, Budget);
   if (R.Method == "session_close")
     return doSessionClose(R);
   if (R.Method == "shutdown") {
@@ -393,21 +451,17 @@ SolverOptions SolverService::solverOptions(uint64_t MaxSolutions) {
   return SOpts;
 }
 
-Json SolverService::doSolve(const Request &R, CancellationToken &Token) {
+Json SolverService::doSolve(const Request &R, ResourceBudget &Budget) {
   const Json *Text = R.Params.find("constraints");
   if (!Text || !Text->isString())
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"constraints\" must be a string of constraint "
-                     "syntax (see docs/SERVICE.md)");
+    return makeError(R.Id, ErrorCode::InvalidParams, ConstraintsNotAString);
   uint64_t MaxSolutions = 0;
-  bool HasMax = false;
-  if (!readUnsigned(R.Params, "max_solutions", MaxSolutions, HasMax) ||
-      (HasMax && MaxSolutions == 0))
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"max_solutions\" must be a positive number");
+  Json Err;
+  if (!readMaxSolutions(R, MaxSolutions, Err))
+    return Err;
 
   // Undocumented test hook: sleep this long *without* polling the
-  // cancellation token, simulating a solver wedged past cooperative
+  // request budget, simulating a solver wedged past cooperative
   // cancellation — the failure mode the supervisor hang watchdog exists
   // to break (docs/ROBUSTNESS.md).
   uint64_t HangMs = 0;
@@ -418,58 +472,26 @@ Json SolverService::doSolve(const Request &R, CancellationToken &Token) {
   if (HasHang)
     std::this_thread::sleep_for(std::chrono::milliseconds(HangMs));
 
+  if (!applyRequestLimits(Opts, R, Budget, Err))
+    return Err;
+
+  // One governed scope: parsing (whose & and ~ determinize), the solve and
+  // the render all obey the request's caps, deadline and cancel flag.
+  ResourceGuard Guard(&Budget);
   ConstraintParseResult Parsed = parseConstraintText(Text->asString());
-  if (!Parsed.Ok) {
-    std::ostringstream Msg;
-    Msg << "constraint parse error at line " << Parsed.ErrorLine << ": "
-        << Parsed.Error;
-    return makeError(R.Id, ErrorCode::InvalidParams, Msg.str());
-  }
-
-  ResourceLimits Limits;
-  Json LimitsErr;
-  if (!requestLimits(Opts, R, Limits, LimitsErr))
-    return LimitsErr;
-  ResourceBudget Budget(Limits);
-
-  SolverOptions SOpts = solverOptions(MaxSolutions);
-  SOpts.Cancel = &Token;
-  SOpts.Budget = &Budget;
+  if (!Parsed.Ok)
+    return constraintParseError(R.Id, Parsed.ErrorLine, Parsed.Error);
 
   StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
-  SolveResult SR = Solver(SOpts).solve(Parsed.Instance);
-  if (SR.Cancelled)
-    return cancelError(R.Id, Token);
-  if (SR.ResourceExhausted)
-    return resourceError(R.Id, Budget);
-
-  const Problem &P = Parsed.Instance;
+  SolveResult SR = Solver(solverOptions(MaxSolutions)).solve(Parsed.Instance);
   Json Result = Json::object();
-  Result["satisfiable"] = SR.Satisfiable;
-  Json Assignments = Json::array();
-  for (const Assignment &A : SR.Assignments) {
-    Json Obj = Json::object();
-    for (VarId V = 0; V != P.numVariables(); ++V) {
-      Json Var = Json::object();
-      Var["regex"] = A.regexFor(V);
-      if (auto W = A.witness(V))
-        Var["witness"] = *W;
-      Obj[P.variableName(V)] = std::move(Var);
-    }
-    Assignments.push(std::move(Obj));
-  }
-  Result["assignments"] = std::move(Assignments);
-
-  Json SolverSection = Json::object();
-  for (const auto &[Name, Value] : SR.Stats.counters())
-    SolverSection[Name] = Value;
-  SolverSection["solve_seconds"] = SR.Stats.SolveSeconds;
-  Result["solver"] = std::move(SolverSection);
-  Result["decide"] = decideDelta(Before);
+  if (SR.Interrupted ||
+      !renderSolveResult(Parsed.Instance, SR, Before, Result))
+    return interruptError(R.Id, Budget);
   return makeResult(R.Id, std::move(Result));
 }
 
-Json SolverService::doDecide(const Request &R, CancellationToken &Token) {
+Json SolverService::doDecide(const Request &R, ResourceBudget &Budget) {
   const Json *Query = R.Params.find("query");
   if (!Query || !Query->isString())
     return makeError(R.Id, ErrorCode::InvalidParams,
@@ -511,41 +533,31 @@ Json SolverService::doDecide(const Request &R, CancellationToken &Token) {
     return true;
   };
 
-  Nfa Lhs, Rhs;
   Json Err;
+  if (!applyRequestLimits(Opts, R, Budget, Err))
+    return Err;
+
+  // Parsing and the query run under the request budget; an interrupted
+  // query unwinds with a truncated (meaningless) answer, discarded below.
+  ResourceGuard Guard(&Budget);
+  Nfa Lhs, Rhs;
   if (!LoadMachine("lhs", Lhs, Err))
     return Err;
   if (Binary && !LoadMachine("rhs", Rhs, Err))
     return Err;
 
-  // The kernel queries are not internally cancellable; honor an already
-  // expired token instead of starting work it would ignore.
-  if (Token.cancelled())
-    return cancelError(R.Id, Token);
-
-  ResourceLimits Limits;
-  Json LimitsErr;
-  if (!requestLimits(Opts, R, Limits, LimitsErr))
-    return LimitsErr;
-  ResourceBudget Budget(Limits);
-
   StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
   bool Answer;
-  {
-    // Queries run under the request budget; on exhaustion they unwind
-    // with a truncated (meaningless) answer, discarded below.
-    ResourceGuard Guard(&Budget);
-    if (Q == "subset")
-      Answer = subsetOf(Lhs, Rhs);
-    else if (Q == "empty-intersection")
-      Answer = emptyIntersection(Lhs, Rhs);
-    else if (Q == "equivalent")
-      Answer = equivalentTo(Lhs, Rhs);
-    else
-      Answer = isEmpty(Lhs);
-  }
+  if (Q == "subset")
+    Answer = subsetOf(Lhs, Rhs);
+  else if (Q == "empty-intersection")
+    Answer = emptyIntersection(Lhs, Rhs);
+  else if (Q == "equivalent")
+    Answer = equivalentTo(Lhs, Rhs);
+  else
+    Answer = isEmpty(Lhs);
   if (Budget.exhausted())
-    return resourceError(R.Id, Budget);
+    return interruptError(R.Id, Budget);
 
   Json Result = Json::object();
   Result["query"] = Q;
@@ -564,12 +576,13 @@ void SolverService::evictIdleSessions() {
   uint64_t NowMs = clock().nowMs();
   std::lock_guard<std::mutex> Lock(SessionsMutex);
   for (auto It = Sessions.begin(); It != Sessions.end();) {
-    SessionEntry &E = *It->second;
+    // Held past the erase below, so the entry's mutex outlives EntryLock.
+    std::shared_ptr<SessionEntry> E = It->second;
     // try_lock: a session with a verb in flight is not idle, and evicting
     // it mid-check would pull the solver's state out from under it.
-    std::unique_lock<std::mutex> EntryLock(E.M, std::try_to_lock);
+    std::unique_lock<std::mutex> EntryLock(E->M, std::try_to_lock);
     if (EntryLock.owns_lock() &&
-        NowMs - E.LastUsedMs >= Opts.SessionIdleTimeoutMs) {
+        NowMs - E->LastUsedMs >= Opts.SessionIdleTimeoutMs) {
       ++SessionStats::global().Evicted;
       // Erase before journaling the close: if the append triggers
       // compaction, the snapshot must no longer contain this session.
@@ -606,16 +619,12 @@ Json SolverService::doSessionOpen(const Request &R) {
   }
 
   uint64_t MaxSolutions = 0;
-  bool HasMax = false;
-  if (!readUnsigned(R.Params, "max_solutions", MaxSolutions, HasMax) ||
-      (HasMax && MaxSolutions == 0))
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"max_solutions\" must be a positive number");
+  Json Err;
+  if (!readMaxSolutions(R, MaxSolutions, Err))
+    return Err;
   const Json *Text = R.Params.find("constraints");
   if (Text && !Text->isString())
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"constraints\" must be a string of constraint "
-                     "syntax (see docs/SERVICE.md)");
+    return makeError(R.Id, ErrorCode::InvalidParams, ConstraintsNotAString);
 
   auto Entry = std::make_shared<SessionEntry>();
   Entry->S = std::make_unique<SolverSession>(solverOptions(MaxSolutions));
@@ -623,14 +632,11 @@ Json SolverService::doSessionOpen(const Request &R) {
   if (Text) {
     std::string Error;
     size_t Line = 0;
-    if (!Entry->S->assertText(Text->asString(), &Error, &Line)) {
-      std::ostringstream Msg;
-      Msg << "constraint parse error at line " << Line << ": " << Error;
-      return makeError(R.Id, ErrorCode::InvalidParams, Msg.str());
-    }
+    if (!Entry->S->assertText(Text->asString(), &Error, &Line))
+      return constraintParseError(R.Id, Line, Error);
     Entry->BaseText = Text->asString();
   }
-  Entry->MaxSolutionsParam = HasMax ? MaxSolutions : 0;
+  Entry->MaxSolutionsParam = MaxSolutions;
 
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
@@ -665,20 +671,15 @@ Json SolverService::doSessionPush(const Request &R) {
     return Err;
   const Json *Text = R.Params.find("constraints");
   if (!Text || !Text->isString())
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"constraints\" must be a string of constraint "
-                     "syntax (see docs/SERVICE.md)");
+    return makeError(R.Id, ErrorCode::InvalidParams, ConstraintsNotAString);
   std::shared_ptr<SessionEntry> E = findSession(Id);
   if (!E)
     return sessionLostError(R.Id, Id);
   std::lock_guard<std::mutex> Lock(E->M);
   std::string Error;
   size_t Line = 0;
-  if (!E->S->push(Text->asString(), &Error, &Line)) {
-    std::ostringstream Msg;
-    Msg << "constraint parse error at line " << Line << ": " << Error;
-    return makeError(R.Id, ErrorCode::InvalidParams, Msg.str());
-  }
+  if (!E->S->push(Text->asString(), &Error, &Line))
+    return constraintParseError(R.Id, Line, Error);
   {
     // E->M then SessionsMutex — the one nesting order (eviction's
     // SessionsMutex-then-try_lock(E->M) cannot deadlock against it).
@@ -714,65 +715,32 @@ Json SolverService::doSessionPop(const Request &R) {
   return makeResult(R.Id, std::move(Result));
 }
 
-Json SolverService::doSessionCheck(const Request &R, CancellationToken &Token) {
+Json SolverService::doSessionCheck(const Request &R, ResourceBudget &Budget) {
   std::string Id;
   Json Err;
   if (!readSessionId(R, Id, Err))
     return Err;
   uint64_t MaxSolutions = 0;
-  bool HasMax = false;
-  if (!readUnsigned(R.Params, "max_solutions", MaxSolutions, HasMax) ||
-      (HasMax && MaxSolutions == 0))
-    return makeError(R.Id, ErrorCode::InvalidParams,
-                     "\"max_solutions\" must be a positive number");
-  ResourceLimits Limits;
-  Json LimitsErr;
-  if (!requestLimits(Opts, R, Limits, LimitsErr))
-    return LimitsErr;
+  if (!readMaxSolutions(R, MaxSolutions, Err) ||
+      !applyRequestLimits(Opts, R, Budget, Err))
+    return Err;
 
   std::shared_ptr<SessionEntry> E = findSession(Id);
   if (!E)
     return sessionLostError(R.Id, Id);
   std::lock_guard<std::mutex> Lock(E->M);
 
-  ResourceBudget Budget(Limits);
   SessionCheckOptions CO;
-  CO.Cancel = &Token;
-  CO.Budget = &Budget;
-  if (HasMax)
-    CO.MaxSolutions = MaxSolutions;
+  CO.MaxSolutions = MaxSolutions;
 
+  // The check and the render obey the request's budget.
+  ResourceGuard Guard(&Budget);
   StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
   SolveResult SR = E->S->check(CO);
-  if (SR.Cancelled)
-    return cancelError(R.Id, Token);
-  if (SR.ResourceExhausted)
-    return resourceError(R.Id, Budget);
-
   // Same response shape as solve, plus the "session" reuse section.
-  const Problem &P = E->S->problem();
   Json Result = Json::object();
-  Result["satisfiable"] = SR.Satisfiable;
-  Json Assignments = Json::array();
-  for (const Assignment &A : SR.Assignments) {
-    Json Obj = Json::object();
-    for (VarId V = 0; V != P.numVariables(); ++V) {
-      Json Var = Json::object();
-      Var["regex"] = A.regexFor(V);
-      if (auto W = A.witness(V))
-        Var["witness"] = *W;
-      Obj[P.variableName(V)] = std::move(Var);
-    }
-    Assignments.push(std::move(Obj));
-  }
-  Result["assignments"] = std::move(Assignments);
-
-  Json SolverSection = Json::object();
-  for (const auto &[Name, Value] : SR.Stats.counters())
-    SolverSection[Name] = Value;
-  SolverSection["solve_seconds"] = SR.Stats.SolveSeconds;
-  Result["solver"] = std::move(SolverSection);
-  Result["decide"] = decideDelta(Before);
+  if (SR.Interrupted || !renderSolveResult(E->S->problem(), SR, Before, Result))
+    return interruptError(R.Id, Budget);
 
   const SessionCheckInfo &Info = E->S->lastCheckInfo();
   Json Session = Json::object();
@@ -874,20 +842,26 @@ Json SolverService::doStats() const {
   Out["budgets"] = std::move(Governance);
   // Session durability (docs/ROBUSTNESS.md); journal.*/recovery.*
   // counters live in "counters", this section is this instance's file.
-  Json Jn = Json::object();
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
-    Jn["enabled"] = static_cast<bool>(Jrnl);
-    if (Jrnl) {
-      Jn["bytes"] = Jrnl->bytes();
-      Jn["records"] = Jrnl->records();
-      Jn["compactions"] = Jrnl->compactions();
-      Jn["lag_records"] = Jrnl->lagRecords();
+    Json Jn = journalSectionLocked();
+    if (Jrnl)
       Jn["fsync"] = Jrnl->options().Fsync;
-    }
+    Out["journal"] = std::move(Jn);
   }
-  Out["journal"] = std::move(Jn);
   return Out;
+}
+
+Json SolverService::journalSectionLocked() const {
+  Json Jn = Json::object();
+  Jn["enabled"] = static_cast<bool>(Jrnl);
+  if (Jrnl) {
+    Jn["bytes"] = Jrnl->bytes();
+    Jn["records"] = Jrnl->records();
+    Jn["compactions"] = Jrnl->compactions();
+    Jn["lag_records"] = Jrnl->lagRecords();
+  }
+  return Jn;
 }
 
 Json SolverService::doHealth() const {
@@ -898,15 +872,7 @@ Json SolverService::doHealth() const {
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     Out["sessions"] = static_cast<uint64_t>(Sessions.size());
-    Json Jn = Json::object();
-    Jn["enabled"] = static_cast<bool>(Jrnl);
-    if (Jrnl) {
-      Jn["bytes"] = Jrnl->bytes();
-      Jn["records"] = Jrnl->records();
-      Jn["compactions"] = Jrnl->compactions();
-      Jn["lag_records"] = Jrnl->lagRecords();
-    }
-    Out["journal"] = std::move(Jn);
+    Out["journal"] = journalSectionLocked();
   }
   Json Infl = Json::object();
   {

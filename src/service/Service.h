@@ -23,12 +23,14 @@
 ///            (solver/Session.h, docs/SESSIONS.md): push/pop constraint
 ///            deltas and re-check, reusing unchanged CI-group results.
 ///
-/// Graceful degradation: every request carries an optional deadline_ms
-/// (falling back to ServiceOptions::DefaultDeadlineMs). The scheduler arms
-/// a CancellationToken when the job starts; the solver polls it at its
-/// loop headers and unwinds, and the request is answered with a structured
-/// `timeout` (deadline) or `cancelled` (explicit cancel) error instead of
-/// wedging a worker.
+/// Graceful degradation: every request gets one ResourceBudget
+/// (support/Budget.h) carrying its resource caps, its deadline_ms (falling
+/// back to ServiceOptions::DefaultDeadlineMs, armed when the job starts)
+/// and its cancel flag. solve, decide and session_check install it as the
+/// ambient budget around parse, solve or query, and render, so every
+/// kernel polls it; a tripped request is answered with a structured
+/// `timeout`, `cancelled` or `resource_exhausted` error instead of wedging
+/// a worker.
 ///
 /// Determinism: solving is bit-identical at any job count (see
 /// SolverOptions::Jobs); only response *order* and the approximate
@@ -42,7 +44,6 @@
 #include "service/Journal.h"
 #include "service/Protocol.h"
 #include "service/ThreadPool.h"
-#include "support/Cancellation.h"
 #include "support/Clock.h"
 
 #include <functional>
@@ -54,6 +55,7 @@
 
 namespace dprle {
 
+class ResourceBudget;
 struct SolverOptions;
 
 namespace service {
@@ -182,28 +184,30 @@ public:
   void flushJournal();
 
   /// Parses and handles one request line synchronously (test entry
-  /// point). \p External, when given, is the request's cancellation
-  /// token — the caller may cancel it from another thread; the deadline
-  /// is armed on it.
-  Json handleLine(const std::string &Line,
-                  CancellationToken *External = nullptr);
+  /// point). \p External, when given, is the request's budget — the
+  /// caller may cancel() it from another thread; the service arms the
+  /// deadline and sets the request's limits on it.
+  Json handleLine(const std::string &Line, ResourceBudget *External = nullptr);
 
   /// Handles one parsed request synchronously.
-  Json handleRequest(const Request &R, CancellationToken *External = nullptr);
+  Json handleRequest(const Request &R, ResourceBudget *External = nullptr);
 
   const ServiceOptions &options() const { return Opts; }
 
 private:
   struct SessionEntry;
 
-  Json dispatch(const Request &R, CancellationToken &Token);
-  Json doSolve(const Request &R, CancellationToken &Token);
-  Json doDecide(const Request &R, CancellationToken &Token);
+  Json dispatch(const Request &R, ResourceBudget &Budget);
+  Json doSolve(const Request &R, ResourceBudget &Budget);
+  Json doDecide(const Request &R, ResourceBudget &Budget);
   Json doStats() const;
   /// The `health` liveness payload: uptime, open sessions, journal
   /// position/lag, and in-flight request count + oldest age. Answered
   /// inline (never queued) so probes see a wedged pool, not a timeout.
   Json doHealth() const;
+  /// The "journal" section shared by stats and health. Caller holds
+  /// SessionsMutex.
+  Json journalSectionLocked() const;
 
   /// \name Session verbs (docs/SESSIONS.md)
   ///
@@ -217,7 +221,7 @@ private:
   Json doSessionOpen(const Request &R);
   Json doSessionPush(const Request &R);
   Json doSessionPop(const Request &R);
-  Json doSessionCheck(const Request &R, CancellationToken &Token);
+  Json doSessionCheck(const Request &R, ResourceBudget &Budget);
   Json doSessionClose(const Request &R);
   /// Looks up a session and stamps its LastUsed; null when unknown (the
   /// caller answers `session_lost`).
@@ -242,8 +246,7 @@ private:
   /// @}
 
   /// The solve configuration every verb shares: the service's job count
-  /// and pool, plus \p MaxSolutions when non-zero. Callers add per-request
-  /// Cancel/Budget.
+  /// and pool, plus \p MaxSolutions when non-zero.
   SolverOptions solverOptions(uint64_t MaxSolutions);
 
   Clock &clock() const {

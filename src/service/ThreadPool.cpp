@@ -2,6 +2,8 @@
 
 #include "service/ThreadPool.h"
 
+#include "support/Budget.h"
+
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -96,6 +98,8 @@ void ThreadPool::parallelFor(size_t N,
     std::atomic<bool> Failed{false};
     size_t N = 0;
     const std::function<void(size_t)> *Body = nullptr;
+    /// The caller's ambient budget, installed on every helper.
+    ResourceBudget *Budget = nullptr;
     std::mutex Mutex;
     std::condition_variable AllDone;
     std::exception_ptr Error; // Guarded by Mutex.
@@ -103,8 +107,10 @@ void ThreadPool::parallelFor(size_t N,
   auto S = std::make_shared<State>();
   S->N = N;
   S->Body = &Body;
+  S->Budget = ResourceGuard::current();
 
   auto Run = [S] {
+    ResourceGuard BudgetScope(S->Budget);
     size_t Completed = 0;
     for (;;) {
       size_t I = S->Next.fetch_add(1, std::memory_order_relaxed);

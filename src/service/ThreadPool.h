@@ -66,7 +66,8 @@ public:
   void waitIdle();
 
   /// Executor: runs Body(0..N-1) across the workers *and* the calling
-  /// thread; returns when all indices completed. Safe to call from inside
+  /// thread, each helper under the caller's ambient budget; returns when
+  /// all indices completed. Safe to call from inside
   /// a pool job (see the file comment). If a body throws, the first
   /// exception is rethrown here once every claimed index has finished
   /// (indices not yet started are skipped).

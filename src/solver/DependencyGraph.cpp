@@ -2,7 +2,6 @@
 
 #include "solver/DependencyGraph.h"
 #include "automata/NfaOps.h"
-#include "support/Budget.h"
 #include "support/Executor.h"
 #include "support/Trace.h"
 #include "support/UnionFind.h"
@@ -129,18 +128,11 @@ DependencyGraph DependencyGraph::rebuild(const Problem &P,
                          ? minimized(*Language)
                          : Language->withoutEpsilonTransitions();
   };
-  if (Exec && Pending.size() > 1) {
-    // The bodies run on pool workers, whose thread-local budget is unset:
-    // re-install the caller's, as the gci waves do.
-    ResourceBudget *Budget = ResourceGuard::current();
-    Exec->parallelFor(Pending.size(), [&](size_t I) {
-      ResourceGuard BudgetScope(Budget);
-      Normalize(I);
-    });
-  } else {
+  if (Exec && Pending.size() > 1)
+    Exec->parallelFor(Pending.size(), Normalize);
+  else
     for (size_t I = 0; I != Pending.size(); ++I)
       Normalize(I);
-  }
   return G;
 }
 

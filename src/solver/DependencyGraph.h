@@ -70,8 +70,8 @@ public:
   ///
   /// \param Exec when non-null, constants are normalized concurrently on
   /// it (a second pass after the graph's nodes and edges are laid out);
-  /// the graph equals the serial build's. Bodies re-install the calling
-  /// thread's ambient ResourceGuard budget.
+  /// the graph equals the serial build's, and the executor carries the
+  /// calling thread's ambient budget into the bodies.
   static DependencyGraph build(const Problem &P,
                                bool CanonicalizeConstants = true,
                                Executor *Exec = nullptr);

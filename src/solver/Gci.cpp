@@ -67,22 +67,11 @@ private:
   void enumerateParallel(const std::vector<ChoicePoint> &Choices,
                          const std::vector<NodeId> &Vars, size_t Total);
 
-  bool cancelled() const { return Opts.Cancel && Opts.Cancel->cancelled(); }
-
-  /// Pure poll for parallel bodies (no Result mutation — workers must not
-  /// race the enumerating thread): should the run stop doing work?
-  bool unwinding() const {
-    return cancelled() || (Opts.Budget && Opts.Budget->exhausted());
-  }
-
-  /// Loop-header poll: records the unwind cause in Result and returns
-  /// true when the run must stop. Cancellation wins the tie so a deadline
-  /// that expires while the budget trips still reports as timeout.
+  /// Loop-header poll: records the interrupt in Result and returns true
+  /// when the run must stop.
   bool interrupted() {
-    if (!unwinding())
-      return false;
-    (cancelled() ? Result.Cancelled : Result.ResourceExhausted) = true;
-    return true;
+    Result.Interrupted = Result.Interrupted || ResourceGuard::exhausted();
+    return Result.Interrupted;
   }
 
   /// One flattened constraint of the group: the term sequence of a root's
@@ -187,7 +176,7 @@ void GciRun::maximizeCandidate(std::map<NodeId, Nfa> &Candidate,
       Nfa Whole = Nfa::epsilonLanguage();
       for (NodeId T : FC.Terms)
         Whole = concat(Whole, termLanguage(T, Candidate));
-      if (!isSubsetOf(Whole, FC.Constraint)) {
+      if (!subsetOf(Whole, FC.Constraint)) {
         Candidate.at(V) = std::move(Old);
         break;
       }
@@ -439,7 +428,7 @@ bool GciRun::acceptOutcome(ComboOutcome &&O,
     for (const auto &Existing : Result.Solutions) {
       bool Same = true;
       for (NodeId V : Vars)
-        if (!equivalent(Existing.at(V), Candidate.at(V))) {
+        if (!equivalentTo(Existing.at(V), Candidate.at(V))) {
           Same = false;
           break;
         }
@@ -489,10 +478,7 @@ void GciRun::enumerateParallel(const std::vector<ChoicePoint> &Choices,
     size_t Count = std::min(Wave, Total - Base);
     Outcomes.assign(Count, ComboOutcome());
     Opts.Exec->parallelFor(Count, [&](size_t I) {
-      // Re-install the ambient budget: the body runs on pool worker
-      // threads, whose thread-local guard is unset.
-      ResourceGuard BudgetScope(Opts.Budget);
-      if (unwinding())
+      if (ResourceGuard::exhausted())
         return; // Skipped outcomes read as invalid; the run is unwinding.
       std::vector<size_t> Digits(Choices.size());
       size_t Rem = Base + I;
@@ -512,9 +498,6 @@ void GciRun::enumerateParallel(const std::vector<ChoicePoint> &Choices,
 
 GciResult GciRun::run() {
   DPRLE_TRACE_SPAN("gci");
-  // The run's machines are built on this thread; parallel wave bodies
-  // re-install the same budget on the workers.
-  ResourceGuard BudgetScope(Opts.Budget);
   {
     DPRLE_TRACE_SPAN("process_nodes");
     for (NodeId N : Group) {
@@ -524,10 +507,9 @@ GciResult GciRun::run() {
     }
   }
   enumerateSolutions();
-  // A budget that tripped on the very last operation (after the final
-  // loop-header poll) must still surface in the result.
-  if (Opts.Budget && Opts.Budget->exhausted())
-    Result.ResourceExhausted = true;
+  // A trip on the very last operation (after the final loop-header poll)
+  // must still surface in the result.
+  interrupted();
   return Result;
 }
 

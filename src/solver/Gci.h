@@ -29,6 +29,10 @@
 /// its induced sub-NFAs, and combinations leaving any variable empty are
 /// rejected.
 ///
+/// A run obeys the calling thread's ambient budget (support/Budget.h),
+/// polled at the per-node and per-combination loop headers; parallel wave
+/// bodies see the same budget through the executor.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DPRLE_SOLVER_GCI_H
@@ -37,7 +41,6 @@
 #include "automata/Nfa.h"
 #include "solver/DependencyGraph.h"
 #include "support/Budget.h"
-#include "support/Cancellation.h"
 #include "support/Executor.h"
 
 #include <map>
@@ -94,15 +97,6 @@ struct GciOptions {
   unsigned Jobs = 1;
   /// The executor running parallel waves; null means serial.
   Executor *Exec = nullptr;
-  /// Optional cooperative cancellation, polled at the per-node and
-  /// per-combination loop headers. When it fires, the run unwinds with
-  /// GciResult::Cancelled set and a partial (possibly empty) solution set.
-  const CancellationToken *Cancel = nullptr;
-  /// Optional resource budget (docs/ROBUSTNESS.md), installed as the
-  /// run's ambient ResourceGuard — including inside parallel wave bodies,
-  /// which execute on pool worker threads. When it trips, the run unwinds
-  /// with GciResult::ResourceExhausted set.
-  ResourceBudget *Budget = nullptr;
   /// @}
 };
 
@@ -112,14 +106,11 @@ struct GciResult {
   /// a non-empty language.
   std::vector<std::map<NodeId, Nfa>> Solutions;
 
-  /// True when GciOptions::Cancel fired mid-run; Solutions is then a
-  /// partial answer and must not be interpreted as "unsatisfiable".
-  bool Cancelled = false;
-
-  /// True when GciOptions::Budget tripped mid-run: the group's machines
-  /// outgrew their resource budget and the run was abandoned. Like
-  /// Cancelled, this is *not* an unsatisfiability verdict.
-  bool ResourceExhausted = false;
+  /// True when the ambient budget (support/Budget.h) tripped mid-run —
+  /// cancelled, past its deadline, or over a resource cap. Solutions is
+  /// then a partial answer and must not be interpreted as
+  /// "unsatisfiable".
+  bool Interrupted = false;
 
   /// \name Stats contributions (merged into SolverStats by the Solver)
   /// @{

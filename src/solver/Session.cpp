@@ -58,12 +58,7 @@ positions(const std::vector<NodeId> &Group) {
 // Frames
 //===----------------------------------------------------------------------===//
 
-SolverSession::SolverSession(SolverOptions Opts) : Opts(Opts) {
-  // Per-check concerns arrive through SessionCheckOptions; a stale token
-  // or budget captured at construction must never leak into checks.
-  this->Opts.Cancel = nullptr;
-  this->Opts.Budget = nullptr;
-}
+SolverSession::SolverSession(SolverOptions Opts) : Opts(Opts) {}
 
 SolverSession::~SolverSession() = default;
 
@@ -254,14 +249,11 @@ SolveResult SolverSession::check(const SessionCheckOptions &CO) {
   Info = SessionCheckInfo();
 
   // The effective options of this check: the session configuration plus
-  // the per-check token/budget/solution-cap.
+  // the per-check solution cap.
   SolverOptions EOpts = Opts;
-  EOpts.Cancel = CO.Cancel;
-  EOpts.Budget = CO.Budget;
   if (CO.MaxSolutions != 0)
     EOpts.MaxSolutions = CO.MaxSolutions;
 
-  ResourceGuard BudgetScope(EOpts.Budget);
   Timer Clock;
   uint64_t StatesBefore = OpStats::global().totalStatesVisited();
 
@@ -316,7 +308,7 @@ SolveResult SolverSession::check(const SessionCheckOptions &CO) {
   // An interrupted check may have truncated machines in the graph it
   // built; retaining it would poison the next incremental rebuild. The
   // table only ever holds completed results, so it survives.
-  if (Result.Cancelled || Result.ResourceExhausted) {
+  if (Result.Interrupted) {
     StablePrefix = 0;
   } else {
     Graph = std::move(G);

@@ -25,14 +25,15 @@
 /// Equivalence guarantee: a completed check() returns verdicts,
 /// assignments, and witness languages bit-identical to a cold
 /// Solver::solve of the same flattened Problem with the same options
-/// (differential-tested in tests/SessionTest.cpp). Interrupted checks
-/// (cancellation, budget exhaustion) unwind exactly like the cold solver
-/// and poison no cache entry. One deliberate asymmetry: a *warm* check
-/// does less work than a cold solve, so a budget that would exhaust a cold
-/// solve may not exhaust a warm check — the equivalence guarantee for the
-/// Cancelled/ResourceExhausted status bits therefore applies to
-/// cold-cache checks (a fresh session's first check), which perform
-/// exactly the cold solve's work.
+/// (differential-tested in tests/SessionTest.cpp). A check obeys the
+/// calling thread's ambient budget (support/Budget.h) exactly like the
+/// cold solver; an interrupted check (cancelled, past its deadline, over a
+/// resource cap) poisons no cache entry. One deliberate asymmetry: a
+/// *warm* check does less work than a cold solve, so a budget that would
+/// exhaust a cold solve may not exhaust a warm check — the equivalence
+/// guarantee for the Interrupted bit therefore applies to cold-cache
+/// checks (a fresh session's first check), which perform exactly the cold
+/// solve's work.
 ///
 /// Thread safety: a SolverSession is single-threaded (the service
 /// serializes verbs per session); check() may still parallelize internally
@@ -109,12 +110,8 @@ struct SessionCheckInfo {
 
 /// Per-check knobs; everything else (MaxSolutions default, minimization,
 /// jobs, ...) is fixed at session construction so cached results stay
-/// valid across checks.
+/// valid across checks. The check's budget is the caller's ambient one.
 struct SessionCheckOptions {
-  /// Cooperative cancellation for this check only.
-  const CancellationToken *Cancel = nullptr;
-  /// Resource budget for this check only.
-  ResourceBudget *Budget = nullptr;
   /// Overrides SolverOptions::MaxSolutions for this check; 0 = keep the
   /// session default. Cached group results are keyed by the effective
   /// value, so switching it between checks is safe (but cache-unfriendly).
@@ -127,10 +124,10 @@ struct SessionCheckOptions {
 /// (automata/MemoTable.h) keyed by a MemoKey: group shape and the
 /// result-affecting options as bytes, plus the identity handles of the
 /// constant machines involved, never NodeIds. The pipeline files only
-/// completed results — nothing computed under a fired token, and the
-/// table refuses anything computed under a tripped budget — and never a
-/// failed inclusion, so a hit cannot mask a violation the cold solver
-/// would report. Bounded: overflow flushes the offending cache wholesale.
+/// completed results — the table refuses anything computed under a
+/// tripped budget — and never a failed inclusion, so a hit cannot mask a
+/// violation the cold solver would report. Bounded: overflow flushes the
+/// offending cache wholesale.
 class ReuseTable {
 public:
   /// The current check's diagnostics. The lookups below count their hits
@@ -180,8 +177,6 @@ private:
 class SolverSession {
 public:
   /// \p Opts fixes the solve configuration for the session's lifetime.
-  /// Opts.Cancel and Opts.Budget are ignored — pass per-check tokens and
-  /// budgets through SessionCheckOptions instead.
   explicit SolverSession(SolverOptions Opts = {});
   ~SolverSession();
 

@@ -52,16 +52,12 @@ private:
 /// disjunctive satisfying assignments.
 struct SolveResult {
   bool Satisfiable = false;
-  /// True when SolverOptions::Cancel fired mid-solve (explicit cancel or
-  /// deadline expiry). Satisfiable is then false *because the solve was
-  /// abandoned*, not because unsatisfiability was proven; clients (the
-  /// service front end) must report it as cancelled/timeout, not "no".
-  bool Cancelled = false;
-  /// True when SolverOptions::Budget tripped mid-solve: the run outgrew
-  /// its resource budget and was abandoned. Like Cancelled, Satisfiable
-  /// is then false without an unsatisfiability proof; the service reports
-  /// it as `resource_exhausted` (docs/ROBUSTNESS.md).
-  bool ResourceExhausted = false;
+  /// True when the ambient budget (support/Budget.h) tripped mid-solve.
+  /// Satisfiable is then false *because the solve was abandoned*, not
+  /// because unsatisfiability was proven; the budget's dimension() says
+  /// why, and the service reports it as `cancelled`, `timeout` or
+  /// `resource_exhausted` (docs/ROBUSTNESS.md), never as "no".
+  bool Interrupted = false;
   std::vector<Assignment> Assignments;
   SolverStats Stats;
 };

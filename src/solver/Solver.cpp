@@ -25,9 +25,6 @@ SolveResult Solver::solveFor(const Problem &P,
 SolveResult Solver::solveImpl(const Problem &P,
                               const std::vector<VarId> *Of) const {
   DPRLE_TRACE_SPAN("solve");
-  // Ambient budget for everything this thread builds; gci runs (including
-  // the ones dispatched to pool workers) re-install it themselves.
-  ResourceGuard BudgetScope(Opts.Budget);
   Timer Clock;
   uint64_t StatesBefore = OpStats::global().totalStatesVisited();
 
@@ -58,18 +55,10 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
     Result.Satisfiable = Satisfiable;
     return std::move(Result);
   };
-  // Unwinds unsatisfied with one status bit (Cancelled/ResourceExhausted).
-  auto Unwind = [&](bool &StatusBit) {
-    StatusBit = true;
+  // Unwinds unsatisfied with the interrupt bit; the budget knows why.
+  auto Unwind = [&] {
+    Result.Interrupted = true;
     return Finish(false);
-  };
-  auto Cancelled = [&] { return Opts.Cancel && Opts.Cancel->cancelled(); };
-  auto Exhausted = [&] { return Opts.Budget && Opts.Budget->exhausted(); };
-  // Loop-header poll: cancellation wins the tie, so a deadline expiring
-  // while the budget trips still reports as timeout.
-  auto Interrupted = [&] { return Cancelled() || Exhausted(); };
-  auto FinishInterrupted = [&] {
-    return Unwind(Cancelled() ? Result.Cancelled : Result.ResourceExhausted);
   };
 
   // --- Stage 2: reduce acyclic constraints (Figure 7 lines 3-8). ---------
@@ -83,8 +72,8 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
   {
     DPRLE_TRACE_SPAN("reduce");
     for (const SubsetEdge &E : G.subsetEdges()) {
-      if (Interrupted())
-        return FinishInterrupted();
+      if (ResourceGuard::exhausted())
+        return Unwind();
       if (G.kind(E.To) != NodeKind::Constant)
         continue;
       const Nfa &Sub = G.constantLanguage(E.To);
@@ -92,10 +81,10 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
       MemoKey Key;
       if (Reuse && Reuse->knownSubset(Sub, Super, Key))
         continue;
-      if (!isSubsetOf(Sub, Super)) {
-        // A truncated (budget-exhausted) subset check proves nothing.
-        if (Exhausted())
-          return Unwind(Result.ResourceExhausted);
+      if (!subsetOf(Sub, Super)) {
+        // A truncated (interrupted) subset check proves nothing.
+        if (ResourceGuard::exhausted())
+          return Unwind();
         DPRLE_DEBUG_LOG("solver", Os << "constant inclusion " << G.name(E.To)
                                      << " <= " << G.name(E.From)
                                      << " is violated");
@@ -106,8 +95,8 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
     }
 
     for (VarId V = 0; V != P.numVariables(); ++V) {
-      if (Interrupted())
-        return FinishInterrupted();
+      if (ResourceGuard::exhausted())
+        return Unwind();
       NodeId N = G.nodeForVariable(V);
       if (G.inAnyConcat(N))
         continue;
@@ -136,8 +125,8 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
         M = minimized(M);
       // A machine truncated by the budget can be spuriously empty; unwind
       // before the emptiness check turns that into a false "unsat".
-      if (Exhausted())
-        return Unwind(Result.ResourceExhausted);
+      if (ResourceGuard::exhausted())
+        return Unwind();
       if (isEmpty(M)) {
         // A maximal satisfying assignment would map V to the empty
         // language; following Figure 7 lines 20-23 that is a failure.
@@ -165,8 +154,6 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
   GOpts.MaximizeSolutions = Opts.MaximizeSolutions;
   GOpts.Jobs = Opts.Jobs;
   GOpts.Exec = Opts.Exec;
-  GOpts.Cancel = Opts.Cancel;
-  GOpts.Budget = Opts.Budget;
 
   // The groups this solve actually runs (partial solving skips groups with
   // no queried variable), each either spliced from the reuse table or
@@ -205,17 +192,15 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
 
   std::vector<std::map<NodeId, Nfa>> Partials = {{}};
   for (size_t GroupIdx = 0; GroupIdx != Selected.size(); ++GroupIdx) {
-    if (Interrupted())
-      return FinishInterrupted();
+    if (ResourceGuard::exhausted())
+      return Unwind();
     DPRLE_TRACE_SPAN("gci_group");
     const std::vector<NodeId> &Group = *Selected[GroupIdx];
     GciResult GR = Spliced[GroupIdx] || ParallelGroups
                        ? std::move(GroupResults[GroupIdx])
                        : solveCiGroup(G, Group, GOpts);
-    if (GR.Cancelled)
-      return Unwind(Result.Cancelled);
-    if (GR.ResourceExhausted)
-      return Unwind(Result.ResourceExhausted);
+    if (GR.Interrupted)
+      return Unwind();
     // A spliced result carries the counters of the solve it stands in
     // for, so per-solve stats agree between warm and cold runs.
     Result.Stats.ConcatsBuilt += GR.ConcatsBuilt;
@@ -247,8 +232,8 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
   }
 
   // --- Stage 4: assemble assignments (Figure 7 lines 16-23). -------------
-  if (Interrupted())
-    return FinishInterrupted();
+  if (ResourceGuard::exhausted())
+    return Unwind();
   DPRLE_TRACE_SPAN("assemble");
   for (const auto &Partial : Partials) {
     std::vector<Nfa> Languages(P.numVariables());

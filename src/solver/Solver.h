@@ -23,6 +23,13 @@
 /// is the same pipeline over an incrementally rebuilt graph, handed a
 /// ReuseTable of content-keyed results from earlier checks.
 ///
+/// Stopping: a solve obeys the calling thread's ambient ResourceGuard
+/// budget (support/Budget.h), which carries the request's resource caps,
+/// deadline and cancel flag. The pipeline polls it at its loop headers,
+/// the kernels poll and charge it inside their loops, and parallel stages
+/// see it through the executor. When it trips, the solve returns
+/// Satisfiable = false with SolveResult::Interrupted set.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DPRLE_SOLVER_SOLVER_H
@@ -63,15 +70,6 @@ struct SolverOptions {
   unsigned Jobs = 1;
   /// The executor running parallel work; null means serial.
   Executor *Exec = nullptr;
-  /// Optional cooperative cancellation, polled at the solver's loop
-  /// headers and threaded into every gci run. When it fires, solve()
-  /// returns Satisfiable = false with SolveResult::Cancelled set.
-  const CancellationToken *Cancel = nullptr;
-  /// Optional resource budget (docs/ROBUSTNESS.md): installed as the
-  /// solve's ambient ResourceGuard, charged by every machine the run
-  /// materializes, and threaded into every gci run. When it trips, solve()
-  /// returns Satisfiable = false with SolveResult::ResourceExhausted set.
-  ResourceBudget *Budget = nullptr;
   /// @}
 };
 
@@ -110,9 +108,8 @@ class ReuseTable;
 /// when non-null, restricts solving to the region solveFor() describes.
 /// \p Reuse, when non-null, splices results of earlier solves stored under
 /// the same content key and files every newly completed one; null is a
-/// cold solve. The caller installs \p Opts.Budget as the ambient
-/// ResourceGuard and stamps SolveSeconds/StatesVisited, since its clock
-/// also covers building \p G.
+/// cold solve. The caller stamps SolveSeconds/StatesVisited, since its
+/// clock also covers building \p G.
 SolveResult solvePipeline(const Problem &P, const DependencyGraph &G,
                           const SolverOptions &Opts,
                           const std::vector<VarId> *Of, ReuseTable *Reuse);

@@ -40,6 +40,10 @@ const char *dprle::budgetDimensionName(BudgetDimension D) {
     return "transitions";
   case BudgetDimension::Memory:
     return "memory";
+  case BudgetDimension::Cancelled:
+    return "cancelled";
+  case BudgetDimension::Deadline:
+    return "deadline";
   }
   return "none";
 }
@@ -49,11 +53,63 @@ BudgetStats &BudgetStats::global() {
   return Stats;
 }
 
-void ResourceBudget::trip(BudgetDimension D) {
-  uint8_t Expected = static_cast<uint8_t>(BudgetDimension::None);
-  if (Tripped.compare_exchange_strong(Expected, static_cast<uint8_t>(D),
-                                      std::memory_order_relaxed))
+void ResourceBudget::trip(BudgetDimension D) const {
+  uint8_t Cur = State.load(std::memory_order_relaxed);
+  for (;;) {
+    auto Held = static_cast<BudgetDimension>(Cur & DimensionMask);
+    bool Wins = Held == BudgetDimension::None ||
+                (!isResourceDimension(D) && isResourceDimension(Held));
+    if (!Wins)
+      return;
+    uint8_t Next = (Cur & DeadlineArmed) | static_cast<uint8_t>(D);
+    if (State.compare_exchange_weak(Cur, Next, std::memory_order_relaxed))
+      break;
+  }
+  if (isResourceDimension(D))
     BudgetStats::global().BudgetsExhausted++;
+}
+
+void ResourceBudget::armDeadline(std::chrono::steady_clock::time_point When) {
+  DeadlineNs.store(When.time_since_epoch().count(),
+                   std::memory_order_relaxed);
+  State.fetch_or(DeadlineArmed, std::memory_order_relaxed);
+  deadlinePassed();
+}
+
+void ResourceBudget::armDeadlineAfterMs(uint64_t Ms) {
+  auto Now = std::chrono::steady_clock::now();
+  auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::time_point::max() - Now);
+  if (Ms < static_cast<uint64_t>(Left.count()))
+    armDeadline(Now + std::chrono::milliseconds(Ms));
+}
+
+bool ResourceBudget::deadlinePassed() const {
+  if (std::chrono::steady_clock::now().time_since_epoch().count() <
+      DeadlineNs.load(std::memory_order_relaxed))
+    return false;
+  trip(BudgetDimension::Deadline);
+  return true;
+}
+
+bool ResourceBudget::deadlineSampled() const {
+  thread_local unsigned Countdown = 0;
+  if (Countdown != 0) {
+    --Countdown;
+    return false;
+  }
+  Countdown = PollsPerClockRead - 1;
+  return deadlinePassed();
+}
+
+BudgetDimension ResourceBudget::dimension() const {
+  uint8_t S = State.load(std::memory_order_relaxed);
+  auto D = static_cast<BudgetDimension>(S & DimensionMask);
+  if ((S & DeadlineArmed) &&
+      (D == BudgetDimension::None || isResourceDimension(D)))
+    deadlinePassed();
+  return static_cast<BudgetDimension>(State.load(std::memory_order_relaxed) &
+                                      DimensionMask);
 }
 
 void ResourceBudget::chargeStates(uint64_t N) {
@@ -106,6 +162,10 @@ std::string ResourceBudget::describeExhaustion() const {
     Msg << "memory budget exhausted (limit " << Limits.MaxMemoryBytes
         << " bytes, charged ~" << memoryBytes() << ")";
     break;
+  case BudgetDimension::Cancelled:
+    return "request cancelled";
+  case BudgetDimension::Deadline:
+    return "deadline exceeded";
   }
   return Msg.str();
 }

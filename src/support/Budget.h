@@ -1,26 +1,29 @@
 //===- Budget.h - Per-request resource budgets ------------------*- C++ -*-==//
 ///
 /// \file
-/// Resource governance for the decision procedure (docs/ROBUSTNESS.md).
+/// The one stop signal of the decision procedure (docs/ROBUSTNESS.md).
 /// The paper's constructions (products, subset construction, gci
 /// complements) can explode combinatorially from small inputs; a
-/// ResourceBudget caps how much a single request may materialize, and the
-/// hot loops unwind *cooperatively* — exactly like cancellation
-/// (support/Cancellation.h) — into a structured `resource_exhausted`
-/// outcome instead of OOM-killing the process.
+/// ResourceBudget caps how much a single request may materialize, carries
+/// its deadline and its cancel flag, and the hot loops unwind
+/// *cooperatively* into a structured outcome instead of wedging a worker
+/// or OOM-killing the process.
 ///
 /// Three pieces:
 ///
 ///  * ResourceLimits / ResourceBudget — the caps and the thread-safe
 ///    charge ledger. Charges are relaxed atomics; the first breached
-///    dimension trips a sticky exhausted flag that every loop polls.
+///    dimension trips a sticky flag that every loop polls. cancel() and an
+///    expired deadline trip the same flag, as dimensions that are not
+///    resources.
 ///  * ResourceGuard — RAII installer of the *ambient* budget for the
-///    current thread. The automata/decide kernels charge through
-///    `ResourceGuard::chargeStates(...)` style statics, so the free
-///    functions in NfaOps.h/Decide.h need no signature changes; with no
-///    guard installed the charges are no-ops. Parallel loop bodies
-///    (Executor::parallelFor) run on pool worker threads and must
-///    re-install the guard — see Gci::enumerateParallel.
+///    current thread. Every stage charges and polls through
+///    `ResourceGuard::chargeStates(...)` / `ResourceGuard::exhausted()`
+///    statics, so the free functions in NfaOps.h/Decide.h and the solver
+///    need no budget parameter; with no guard installed the charges are
+///    no-ops and nothing ever stops. Executor::parallelFor carries the
+///    caller's ambient budget into its helper threads (Executor.h), so one
+///    guard per request governs every thread working on it.
 ///  * BudgetStats — process-wide budget.* counters (StatsRegistry).
 ///
 /// Memory accounting is approximate by design: states and transitions are
@@ -28,6 +31,11 @@
 /// BytesPerTransition), which tracks the dominant allocations (state
 /// vectors, transition lists, subset-construction sets) closely enough to
 /// stop a runaway build long before the allocator fails.
+///
+/// Polling cost: with no deadline armed, exhausted() is one relaxed atomic
+/// load. With a deadline armed, each poll or ambient charge also counts
+/// down a thread-local counter, and the clock is read once every
+/// PollsPerClockRead of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +45,17 @@
 #include "support/Stats.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
 namespace dprle {
 
-/// Which cap a budget breached first. None = not exhausted.
+/// Why a budget tripped. None = still running. The resource dimensions
+/// are first-breach-wins; Cancelled and Deadline are stop signals, not
+/// resources, and are reported over a resource trip (the tie rule: a
+/// request cancelled or timed out while over budget answers cancelled or
+/// timeout).
 enum class BudgetDimension : uint8_t {
   None = 0,
   /// Cumulative states materialized across the whole request.
@@ -55,10 +68,20 @@ enum class BudgetDimension : uint8_t {
   Transitions,
   /// Approximate bytes (see BytesPerState / BytesPerTransition).
   Memory,
+  /// ResourceBudget::cancel() was called.
+  Cancelled,
+  /// The armed deadline passed.
+  Deadline,
 };
 
 /// Stable lowercase name of \p D ("states", "machine_states", ...).
 const char *budgetDimensionName(BudgetDimension D);
+
+/// True for the four resource caps; false for None, Cancelled, Deadline.
+inline bool isResourceDimension(BudgetDimension D) {
+  return D != BudgetDimension::None && D != BudgetDimension::Cancelled &&
+         D != BudgetDimension::Deadline;
+}
 
 /// The caps. 0 always means "unlimited" — a default-constructed
 /// ResourceLimits governs nothing.
@@ -74,14 +97,17 @@ struct ResourceLimits {
   }
 };
 
-/// The thread-safe charge ledger for one request. Shared by every thread
-/// working on the request (the solver's parallel stages charge the same
-/// budget); exhaustion is sticky and first-breach-wins.
+/// The thread-safe charge ledger and stop signal for one request. Shared
+/// by every thread working on the request (the solver's parallel stages
+/// charge the same budget); a trip is sticky.
 class ResourceBudget {
 public:
   /// Approximate cost model for the Memory dimension.
   static constexpr uint64_t BytesPerState = 64;
   static constexpr uint64_t BytesPerTransition = 48;
+  /// With a deadline armed, a thread reads the clock once per this many
+  /// polls and ambient charges.
+  static constexpr unsigned PollsPerClockRead = 64;
 
   ResourceBudget() = default;
   explicit ResourceBudget(const ResourceLimits &Limits) : Limits(Limits) {}
@@ -100,16 +126,31 @@ public:
   /// Does not accumulate; call with the machine's running state count.
   void noteMachineStates(uint64_t NumStates);
 
-  /// Sticky: true once any dimension breached its cap.
+  /// Replaces the caps. Call before the first charge.
+  void setLimits(const ResourceLimits &NewLimits) { Limits = NewLimits; }
+
+  /// Stops the request: trips Cancelled. Thread-safe; irrevocable.
+  void cancel() { trip(BudgetDimension::Cancelled); }
+
+  /// Arms an absolute deadline; the budget trips Deadline once a poll
+  /// sees it pass. A deadline at or before now trips at once (deadline_ms
+  /// = 0 is the deterministic-timeout hook the service tests use). Arm
+  /// before the request's work starts.
+  void armDeadline(std::chrono::steady_clock::time_point When);
+  /// Arms a deadline \p Ms milliseconds from now. One beyond the clock's
+  /// range can never pass and is not armed.
+  void armDeadlineAfterMs(uint64_t Ms);
+
+  /// The poll: true once any dimension tripped. Sticky.
   bool exhausted() const {
-    return Tripped.load(std::memory_order_relaxed) !=
-           static_cast<uint8_t>(BudgetDimension::None);
+    uint8_t S = State.load(std::memory_order_relaxed);
+    if (S == 0)
+      return false; // Untripped, no deadline armed.
+    return (S & DimensionMask) != 0 || deadlineSampled();
   }
-  /// The first dimension that breached (None while !exhausted()).
-  BudgetDimension dimension() const {
-    return static_cast<BudgetDimension>(
-        Tripped.load(std::memory_order_relaxed));
-  }
+  /// Why the budget tripped (None while running), after the tie rule: a
+  /// deadline that has passed is reported over a resource trip.
+  BudgetDimension dimension() const;
 
   uint64_t states() const { return States.load(std::memory_order_relaxed); }
   uint64_t transitions() const {
@@ -120,25 +161,38 @@ public:
   }
   const ResourceLimits &limits() const { return Limits; }
 
-  /// Human-readable diagnosis of the breach, e.g.
+  /// Human-readable diagnosis of the trip, e.g.
   /// "state budget exhausted (limit 1000, charged 1001)". Empty while the
   /// budget is intact.
   std::string describeExhaustion() const;
 
 private:
-  void trip(BudgetDimension D);
+  /// State packs the tripped dimension (low bits) with DeadlineArmed, so
+  /// the unarmed poll is a single load.
+  static constexpr uint8_t DimensionMask = 0x7f;
+  static constexpr uint8_t DeadlineArmed = 0x80;
+
+  /// Records \p D unless an earlier trip wins: resources never displace a
+  /// trip, Cancelled/Deadline displace only a resource trip.
+  void trip(BudgetDimension D) const;
+  /// The armed-deadline poll: reads the clock once per PollsPerClockRead
+  /// calls on this thread, tripping Deadline when it has passed.
+  bool deadlineSampled() const;
+  /// Reads the clock now; trips Deadline and returns true when passed.
+  bool deadlinePassed() const;
 
   ResourceLimits Limits;
   std::atomic<uint64_t> States{0};
   std::atomic<uint64_t> Transitions{0};
   std::atomic<uint64_t> Bytes{0};
-  std::atomic<uint8_t> Tripped{static_cast<uint8_t>(BudgetDimension::None)};
+  std::atomic<int64_t> DeadlineNs{0};
+  mutable std::atomic<uint8_t> State{0};
 };
 
 /// RAII installer of the calling thread's ambient budget. Nested guards
-/// save and restore the previous ambient budget, so re-installing the same
-/// budget on a worker thread (inside a parallelFor body) is cheap and
-/// idempotent. Installing nullptr suspends governance for the scope.
+/// save and restore the previous ambient budget; installing nullptr
+/// suspends governance for the scope. A request installs one guard; the
+/// executor carries it into parallel bodies.
 class ResourceGuard {
 public:
   explicit ResourceGuard(ResourceBudget *Budget);
@@ -151,8 +205,8 @@ public:
   static ResourceBudget *current();
 
   /// Ambient charge helpers for the kernels: no-ops (returning true) with
-  /// no installed budget; otherwise charge and return "still within
-  /// budget". Loop headers poll exhausted() and unwind when false.
+  /// no installed budget; otherwise charge and return "still running".
+  /// Loop headers poll exhausted() and unwind when it turns true.
   static bool chargeStates(uint64_t N = 1);
   static bool chargeTransitions(uint64_t N = 1);
   static bool chargeMemory(uint64_t Bytes);
@@ -170,7 +224,8 @@ struct BudgetStats {
   RelaxedCounter StatesCharged;
   RelaxedCounter TransitionsCharged;
   RelaxedCounter MemoryBytesCharged;
-  /// Times any budget tripped (one per exhausted budget, not per charge).
+  /// Times any budget tripped on a resource (one per exhausted budget, not
+  /// per charge; cancellations and deadlines do not count).
   RelaxedCounter BudgetsExhausted;
   /// Requests answered with `resource_exhausted`.
   RelaxedCounter RequestsExhausted;

@@ -30,7 +30,10 @@ namespace dprle {
 /// Abstract parallel-for provider. Implementations must be safe to call
 /// from any thread, including from inside a Body running under the same
 /// executor (nested parallelFor must not deadlock — the caller is expected
-/// to participate in the work rather than block idle).
+/// to participate in the work rather than block idle). Every Body runs
+/// under the caller's ambient ResourceGuard budget (support/Budget.h), on
+/// whichever thread executes it: a request installs its budget once, and
+/// charges and polls in parallel bodies reach it without re-installing.
 class Executor {
 public:
   virtual ~Executor() = default;
@@ -40,15 +43,16 @@ public:
   virtual unsigned concurrency() const = 0;
 
   /// Invokes Body(0) ... Body(N-1), possibly concurrently and in any
-  /// order, returning only when every invocation has completed. If bodies
-  /// throw, the first exception propagates to the caller, only after
-  /// every invocation already running has completed; invocations not yet
-  /// started may be skipped.
+  /// order, each under the caller's ambient budget, returning only when
+  /// every invocation has completed. If bodies throw, the first exception
+  /// propagates to the caller, only after every invocation already running
+  /// has completed; invocations not yet started may be skipped.
   virtual void parallelFor(size_t N,
                            const std::function<void(size_t)> &Body) = 0;
 };
 
-/// The trivial executor: runs everything inline on the calling thread.
+/// The trivial executor: runs everything inline on the calling thread
+/// (which already holds the ambient budget).
 class SerialExecutor final : public Executor {
 public:
   unsigned concurrency() const override { return 1; }

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automata/NfaOps.h"
+#include "automata/Decide.h"
 #include "automata/OpStats.h"
 #include "regex/RegexCompiler.h"
 
@@ -20,7 +21,7 @@ TEST(EpsilonEliminationTest, PreservesLanguage) {
     Nfa M = regexLanguage(Pattern);
     Nfa E = M.withoutEpsilonTransitions();
     EXPECT_EQ(E.numEpsilonTransitions(), 0u) << Pattern;
-    EXPECT_TRUE(equivalent(M, E)) << Pattern;
+    EXPECT_TRUE(equivalentTo(M, E)) << Pattern;
   }
 }
 
@@ -77,7 +78,7 @@ TEST(NfaExtraTest, ReversedMultiAccepting) {
   EXPECT_TRUE(R.accepts("ba"));
   EXPECT_TRUE(R.accepts("zyx"));
   EXPECT_FALSE(R.accepts("ab"));
-  EXPECT_TRUE(equivalent(R.reversed(), M));
+  EXPECT_TRUE(equivalentTo(R.reversed(), M));
 }
 
 TEST(NfaExtraTest, SingleAcceptingPreservesMarkers) {
@@ -87,7 +88,7 @@ TEST(NfaExtraTest, SingleAcceptingPreservesMarkers) {
   Nfa N = M.withSingleAccepting();
   EXPECT_EQ(N.numAccepting(), 1u);
   EXPECT_EQ(N.markerInstances(9).size(), M.markerInstances(9).size());
-  EXPECT_TRUE(equivalent(M, N));
+  EXPECT_TRUE(equivalentTo(M, N));
 }
 
 TEST(NfaExtraTest, InducedMachinesShareStructure) {

@@ -22,10 +22,13 @@
 #include "solver/ConstraintParser.h"
 #include "solver/Session.h"
 #include "solver/Solver.h"
-#include "support/Cancellation.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -48,6 +51,12 @@ ResourceLimits statesLimit(uint64_t Max) {
   ResourceLimits L;
   L.MaxStates = Max;
   return L;
+}
+
+/// Runs \p Fn with \p Budget as the calling thread's ambient budget.
+template <typename F> auto underBudget(ResourceBudget &Budget, F Fn) {
+  ResourceGuard Guard(&Budget);
+  return Fn();
 }
 
 uint64_t counterValue(const char *Name) {
@@ -147,6 +156,101 @@ TEST(BudgetTest, ChargesFeedTheGlobalCounters) {
   EXPECT_GE(After - Before, 7u);
 }
 
+TEST(BudgetTest, CancelAndDeadlineAreStopSignalsNotResources) {
+  uint64_t ExhaustedBefore = counterValue("budget.exhausted_total");
+  ResourceBudget Cancelled;
+  EXPECT_FALSE(Cancelled.exhausted());
+  Cancelled.cancel();
+  EXPECT_TRUE(Cancelled.exhausted());
+  EXPECT_EQ(Cancelled.dimension(), BudgetDimension::Cancelled);
+  EXPECT_FALSE(isResourceDimension(Cancelled.dimension()));
+
+  ResourceBudget Expired;
+  Expired.armDeadlineAfterMs(0); // Already passed: trips on arming.
+  EXPECT_TRUE(Expired.exhausted());
+  EXPECT_EQ(Expired.dimension(), BudgetDimension::Deadline);
+  // Neither stop signal counts as budget exhaustion.
+  EXPECT_EQ(counterValue("budget.exhausted_total"), ExhaustedBefore);
+
+  // A distant deadline never trips, however often it is polled.
+  ResourceBudget Distant;
+  Distant.armDeadlineAfterMs(60 * 60 * 1000);
+  for (unsigned I = 0; I != 4 * ResourceBudget::PollsPerClockRead; ++I)
+    EXPECT_FALSE(Distant.exhausted());
+  EXPECT_EQ(Distant.dimension(), BudgetDimension::None);
+
+  // Deadlines past the clock's range never pass (they used to overflow
+  // into the past and time the request out at once).
+  for (uint64_t Ms : {uint64_t(10000000000000), UINT64_MAX}) {
+    ResourceBudget Huge;
+    Huge.armDeadlineAfterMs(Ms);
+    EXPECT_FALSE(Huge.exhausted()) << Ms;
+    EXPECT_EQ(Huge.dimension(), BudgetDimension::None) << Ms;
+  }
+}
+
+TEST(BudgetTest, DeadlineWinsOverExhaustionInTheTieBreak) {
+  ResourceBudget Budget(statesLimit(1));
+  Budget.chargeStates(2);
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::States);
+  // A deadline that passes after the resource trip is reported over it,
+  // and a later resource trip or cancel displaces neither.
+  Budget.armDeadline(std::chrono::steady_clock::now());
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::Deadline);
+  Budget.cancel();
+  Budget.chargeMemory(uint64_t(1) << 40);
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::Deadline);
+}
+
+TEST(BudgetTest, DeadlineStopsAKernelMidConstruction) {
+  // Determinizing (a|b)*a(a|b){20} needs ~2^21 macro states, seconds of
+  // work; the kernel polls the ambient budget, so a 50 ms deadline stops
+  // it long before that.
+  Nfa Blowup = blowupMachine(20);
+  ResourceBudget Budget;
+  Budget.armDeadlineAfterMs(50);
+  auto Start = std::chrono::steady_clock::now();
+  underBudget(Budget, [&] { return determinize(Blowup); });
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::Deadline);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(Elapsed)
+                .count(),
+            1000);
+}
+
+TEST(BudgetTest, ParallelForCarriesTheCallersBudgetIntoHelpers) {
+  // Every body, on whichever pool thread runs it, sees the caller's
+  // ambient budget without installing it; a trip inside a helper is then
+  // the caller's trip.
+  service::ThreadPool Pool(4);
+  ResourceBudget Budget(statesLimit(1000));
+  std::atomic<unsigned> SawBudget{0};
+  std::mutex Mutex;
+  std::set<std::thread::id> Threads;
+  {
+    ResourceGuard Guard(&Budget);
+    Pool.parallelFor(64, [&](size_t I) {
+      if (ResourceGuard::current() == &Budget)
+        ++SawBudget;
+      {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        Threads.insert(std::this_thread::get_id());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (I == 63)
+        ResourceGuard::chargeStates(2000);
+    });
+    EXPECT_TRUE(ResourceGuard::exhausted());
+  }
+  EXPECT_EQ(SawBudget.load(), 64u);
+  EXPECT_GT(Threads.size(), 1u); // Helpers really ran bodies.
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::States);
+  // Pool workers drop the budget when their body is done.
+  Pool.parallelFor(8, [&](size_t) {
+    EXPECT_EQ(ResourceGuard::current(), nullptr);
+  });
+}
+
 //===----------------------------------------------------------------------===//
 // Guarded kernel sites unwind cooperatively
 //===----------------------------------------------------------------------===//
@@ -225,17 +329,16 @@ $q = query("SELECT * FROM t WHERE id=" . $id);
   L.MaxMemoryBytes = 1;
   ResourceBudget Budget(L);
   Budget.chargeMemory(2); // Pre-tripped.
-  miniphp::SymExecOptions Opts;
-  Opts.Budget = &Budget;
-  miniphp::SymExecResult SR =
-      miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote(), Opts);
-  EXPECT_TRUE(SR.ResourceExhausted);
+  miniphp::SymExecResult SR = underBudget(Budget, [&] {
+    return miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
+  });
+  EXPECT_TRUE(SR.Interrupted);
   EXPECT_TRUE(SR.Paths.empty());
 
   // Ungoverned, the same program yields its sink path.
   miniphp::SymExecResult Full =
       miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
-  EXPECT_FALSE(Full.ResourceExhausted);
+  EXPECT_FALSE(Full.Interrupted);
   EXPECT_EQ(Full.Paths.size(), 1u);
 }
 
@@ -268,9 +371,9 @@ if (preg_match('/^(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)$/', 
 
   {
     ResourceBudget Budget(statesLimit(200));
-    miniphp::SymExecOptions Opts;
-    Opts.Budget = &Budget;
-    miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote(), Opts);
+    underBudget(Budget, [&] {
+      return miniphp::runSymExec(R.Prog, G, miniphp::AttackSpec::sqlQuote());
+    });
     ASSERT_TRUE(Budget.exhausted());
   }
   miniphp::SymExecResult Same =
@@ -303,11 +406,10 @@ TEST(BudgetTest, SolverReportsResourceExhaustedNotUnsat) {
   ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
 
   ResourceBudget Budget(statesLimit(200));
-  SolverOptions Opts;
-  Opts.Budget = &Budget;
-  SolveResult R = Solver(Opts).solve(Parsed.Instance);
-  EXPECT_TRUE(R.ResourceExhausted);
-  EXPECT_FALSE(R.Cancelled);
+  SolveResult R =
+      underBudget(Budget, [&] { return Solver().solve(Parsed.Instance); });
+  EXPECT_TRUE(R.Interrupted);
+  EXPECT_TRUE(isResourceDimension(Budget.dimension()));
   // Satisfiable=false here means "abandoned", not a proof — the flag is
   // what tells the two apart.
   EXPECT_FALSE(R.Satisfiable);
@@ -318,16 +420,13 @@ TEST(BudgetTest, CancellationWinsOverExhaustionInTheTieBreak) {
       parseConstraintText("var v; v <= /a*/;");
   ASSERT_TRUE(Parsed.Ok);
 
-  CancellationToken Token;
-  Token.cancel();
   ResourceBudget Budget(statesLimit(1));
   Budget.chargeStates(2); // Both conditions hold before the solve starts.
-  SolverOptions Opts;
-  Opts.Budget = &Budget;
-  Opts.Cancel = &Token;
-  SolveResult R = Solver(Opts).solve(Parsed.Instance);
-  EXPECT_TRUE(R.Cancelled);
-  EXPECT_FALSE(R.ResourceExhausted);
+  Budget.cancel();
+  SolveResult R =
+      underBudget(Budget, [&] { return Solver().solve(Parsed.Instance); });
+  EXPECT_TRUE(R.Interrupted);
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::Cancelled);
 }
 
 TEST(BudgetTest, GenerousBudgetLeavesTheSolveUntouched) {
@@ -343,10 +442,9 @@ TEST(BudgetTest, GenerousBudgetLeavesTheSolveUntouched) {
   L.MaxTransitions = 1 << 20;
   L.MaxMemoryBytes = uint64_t(1) << 30;
   ResourceBudget Budget(L);
-  SolverOptions Opts;
-  Opts.Budget = &Budget;
-  SolveResult R = Solver(Opts).solve(Parsed.Instance);
-  EXPECT_FALSE(R.ResourceExhausted);
+  SolveResult R =
+      underBudget(Budget, [&] { return Solver().solve(Parsed.Instance); });
+  EXPECT_FALSE(R.Interrupted);
   EXPECT_TRUE(R.Satisfiable);
   EXPECT_EQ(R.Assignments.size(), Reference.Assignments.size());
   EXPECT_GT(Budget.states(), 0u); // The kernels really were charging it.
@@ -362,16 +460,16 @@ TEST(BudgetTest, ExhaustionLeavesNoResidueForTheNextSolve) {
 
   {
     ResourceBudget Budget(statesLimit(200));
-    SolverOptions Opts;
-    Opts.Budget = &Budget;
-    ASSERT_TRUE(Solver(Opts).solve(Pathological.Instance).ResourceExhausted);
+    ASSERT_TRUE(underBudget(Budget, [&] {
+                  return Solver().solve(Pathological.Instance);
+                }).Interrupted);
   }
   // The ambient guard was restored and no truncated answer was cached:
   // a fresh, ungoverned solve on the same thread behaves normally.
   EXPECT_EQ(ResourceGuard::current(), nullptr);
   SolveResult After = Solver().solve(Small.Instance);
   EXPECT_TRUE(After.Satisfiable);
-  EXPECT_FALSE(After.ResourceExhausted);
+  EXPECT_FALSE(After.Interrupted);
 }
 
 TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
@@ -379,7 +477,7 @@ TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
   // state budget that trips there must surface as resource_exhausted, and
   // no machine minimized under the tripped budget may reach the minimize
   // cache. Every constant needs more than 100 DFA states, so with the
-  // budget re-installed on the workers no minimization completes.
+  // budget carried onto the workers no minimization completes.
   std::string Text = "var v, w, x;";
   for (unsigned N = 6; N != 10; ++N)
     Text += "v . w <= /(a|b)*a(a|b){" + std::to_string(N) + "}/;"
@@ -392,11 +490,11 @@ TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
   service::ThreadPool Pool(4);
   ResourceBudget Budget(statesLimit(100));
   SolverOptions Opts;
-  Opts.Budget = &Budget;
   Opts.Jobs = 4;
   Opts.Exec = &Pool;
-  SolveResult R = Solver(Opts).solve(P);
-  EXPECT_TRUE(R.ResourceExhausted);
+  SolveResult R = underBudget(Budget, [&] { return Solver(Opts).solve(P); });
+  EXPECT_TRUE(R.Interrupted);
+  EXPECT_TRUE(isResourceDimension(Budget.dimension()));
   EXPECT_FALSE(R.Satisfiable);
   Pool.waitIdle();
 
@@ -436,11 +534,10 @@ TEST(BudgetTest, ParallelSessionRebuildTripReportsExhaustedAndCachesNothing) {
 
   clearMinimizeCache();
   ResourceBudget Budget(statesLimit(100));
-  SessionCheckOptions CO;
-  CO.Budget = &Budget;
-  SolveResult R = S.check(CO);
+  SolveResult R = underBudget(Budget, [&] { return S.check(); });
   EXPECT_TRUE(S.lastCheckInfo().Incremental);
-  EXPECT_TRUE(R.ResourceExhausted);
+  EXPECT_TRUE(R.Interrupted);
+  EXPECT_TRUE(isResourceDimension(Budget.dimension()));
   EXPECT_FALSE(R.Satisfiable);
   Pool.waitIdle();
   EXPECT_EQ(minimizeCacheSize(), 0u);
@@ -448,7 +545,7 @@ TEST(BudgetTest, ParallelSessionRebuildTripReportsExhaustedAndCachesNothing) {
   SolveResult Next = S.check();
   EXPECT_FALSE(S.lastCheckInfo().Incremental);
   SolveResult Cold = Solver().solve(S.problem());
-  EXPECT_FALSE(Next.ResourceExhausted);
+  EXPECT_FALSE(Next.Interrupted);
   EXPECT_EQ(Next.Satisfiable, Cold.Satisfiable);
   ASSERT_EQ(Next.Assignments.size(), Cold.Assignments.size());
   for (size_t A = 0; A != Cold.Assignments.size(); ++A)

@@ -18,6 +18,7 @@
 
 #include "solver/ConcatIntersect.h"
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
@@ -38,9 +39,9 @@ void checkAllProperties(const Nfa &C1, const Nfa &C2, const Nfa &C3,
 
   // Satisfying.
   for (size_t I = 0; I != Solutions.size(); ++I) {
-    EXPECT_TRUE(isSubsetOf(Solutions[I].V1, C1)) << "solution " << I;
-    EXPECT_TRUE(isSubsetOf(Solutions[I].V2, C2)) << "solution " << I;
-    EXPECT_TRUE(isSubsetOf(concat(Solutions[I].V1, Solutions[I].V2), C3))
+    EXPECT_TRUE(subsetOf(Solutions[I].V1, C1)) << "solution " << I;
+    EXPECT_TRUE(subsetOf(Solutions[I].V2, C2)) << "solution " << I;
+    EXPECT_TRUE(subsetOf(concat(Solutions[I].V1, Solutions[I].V2), C3))
         << "solution " << I;
     EXPECT_FALSE(Solutions[I].V1.languageIsEmpty());
     EXPECT_FALSE(Solutions[I].V2.languageIsEmpty());
@@ -51,7 +52,7 @@ void checkAllProperties(const Nfa &C1, const Nfa &C2, const Nfa &C3,
   Nfa Covered = Nfa::emptyLanguage();
   for (const CiAssignment &A : Solutions)
     Covered = alternate(Covered, concat(A.V1, A.V2));
-  EXPECT_TRUE(equivalent(Covered, Target));
+  EXPECT_TRUE(equivalentTo(Covered, Target));
 
   // Emptiness agreement and the |M3|-ish solution bound.
   EXPECT_EQ(Solutions.empty(), Target.languageIsEmpty());

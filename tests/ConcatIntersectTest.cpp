@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/ConcatIntersect.h"
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 
@@ -24,9 +25,9 @@ void checkSatisfying(const std::vector<CiAssignment> &Solutions,
   for (size_t I = 0; I != Solutions.size(); ++I) {
     SCOPED_TRACE("solution " + std::to_string(I));
     const CiAssignment &A = Solutions[I];
-    EXPECT_TRUE(isSubsetOf(A.V1, C1));
-    EXPECT_TRUE(isSubsetOf(A.V2, C2));
-    EXPECT_TRUE(isSubsetOf(concat(A.V1, A.V2), C3));
+    EXPECT_TRUE(subsetOf(A.V1, C1));
+    EXPECT_TRUE(subsetOf(A.V2, C2));
+    EXPECT_TRUE(subsetOf(concat(A.V1, A.V2), C3));
     EXPECT_FALSE(A.V1.languageIsEmpty());
     EXPECT_FALSE(A.V2.languageIsEmpty());
   }
@@ -40,7 +41,7 @@ void checkAllSolutions(const std::vector<CiAssignment> &Solutions,
   Nfa Covered = Nfa::emptyLanguage();
   for (const CiAssignment &A : Solutions)
     Covered = alternate(Covered, concat(A.V1, A.V2));
-  EXPECT_TRUE(equivalent(Covered, Target));
+  EXPECT_TRUE(equivalentTo(Covered, Target));
 }
 
 } // namespace
@@ -60,12 +61,12 @@ TEST(ConcatIntersectTest, PaperFigure4) {
   ASSERT_EQ(Solutions.size(), 1u);
 
   // x1 = L(nid_), as desired.
-  EXPECT_TRUE(equivalent(Solutions[0].V1, C1));
+  EXPECT_TRUE(equivalentTo(Solutions[0].V1, C1));
 
   // x1' captures "exactly the strings that exploit the faulty safety
   // check: all strings that contain a single quote and end with a digit."
   Nfa Expected = intersect(searchLanguage("'"), searchLanguage("[\\d]$"));
-  EXPECT_TRUE(equivalent(Solutions[0].V2, Expected));
+  EXPECT_TRUE(equivalentTo(Solutions[0].V2, Expected));
 
   checkSatisfying(Solutions, C1, C2, C3);
   checkAllSolutions(Solutions, C1, C2, C3);
@@ -89,7 +90,7 @@ TEST(ConcatIntersectTest, SigmaStarOperandsAreMaximal) {
   // one side.
   bool FoundMaximal = false;
   for (const CiAssignment &A : Solutions)
-    if (equivalent(A.V1, C3) || equivalent(A.V2, C3))
+    if (equivalentTo(A.V1, C3) || equivalentTo(A.V2, C3))
       FoundMaximal = true;
   EXPECT_TRUE(FoundMaximal);
 }
@@ -126,8 +127,8 @@ TEST(ConcatIntersectTest, EpsilonOnlySolution) {
       concatIntersect(Nfa::epsilonLanguage(), Nfa::epsilonLanguage(),
                       Nfa::epsilonLanguage());
   ASSERT_EQ(Solutions.size(), 1u);
-  EXPECT_TRUE(equivalent(Solutions[0].V1, Nfa::epsilonLanguage()));
-  EXPECT_TRUE(equivalent(Solutions[0].V2, Nfa::epsilonLanguage()));
+  EXPECT_TRUE(equivalentTo(Solutions[0].V1, Nfa::epsilonLanguage()));
+  EXPECT_TRUE(equivalentTo(Solutions[0].V2, Nfa::epsilonLanguage()));
 }
 
 TEST(ConcatIntersectTest, SolutionsCarryNoMarkers) {

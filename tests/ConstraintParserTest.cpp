@@ -1,6 +1,7 @@
 //===- ConstraintParserTest.cpp - Constraint-file front-end tests ---------===//
 
 #include "solver/ConstraintParser.h"
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 #include "solver/Solver.h"
@@ -137,7 +138,7 @@ TEST(ConstraintParserTest, EndToEndMotivatingExample) {
   ASSERT_TRUE(S.Satisfiable);
   VarId V = *R.Instance.variableByName("posted_newsid");
   Nfa Expected = intersect(searchLanguage("'"), searchLanguage("[\\d]+$"));
-  EXPECT_TRUE(equivalent(S.Assignments.front().language(V), Expected));
+  EXPECT_TRUE(equivalentTo(S.Assignments.front().language(V), Expected));
 }
 
 TEST(ConstraintParserTest, ProblemStrRoundTripsThroughParser) {
@@ -153,6 +154,6 @@ TEST(ConstraintParserTest, ProblemStrRoundTripsThroughParser) {
   ASSERT_EQ(R2.Instance.constraints().size(),
             R.Instance.constraints().size());
   for (size_t I = 0; I != R.Instance.constraints().size(); ++I)
-    EXPECT_TRUE(equivalent(R.Instance.constraints()[I].Rhs,
-                           R2.Instance.constraints()[I].Rhs));
+    EXPECT_TRUE(equivalentTo(R.Instance.constraints()[I].Rhs,
+                             R2.Instance.constraints()[I].Rhs));
 }

@@ -1,6 +1,7 @@
 //===- DfaTest.cpp - Unit tests for determinization and minimization ------===//
 
 #include "automata/Dfa.h"
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 
 #include <gtest/gtest.h>
@@ -72,7 +73,7 @@ TEST(DfaTest, LanguageIsEmpty) {
 TEST(DfaTest, ToNfaRoundTrips) {
   Nfa M = alternate(Nfa::literal("foo"), plus(Nfa::literal("ba")));
   Nfa Round = determinize(M).toNfa();
-  EXPECT_TRUE(equivalent(M, Round));
+  EXPECT_TRUE(equivalentTo(M, Round));
 }
 
 TEST(DfaTest, MinimizedIsSmallerOrEqualAndEquivalent) {
@@ -83,7 +84,7 @@ TEST(DfaTest, MinimizedIsSmallerOrEqualAndEquivalent) {
   Dfa D = determinize(M);
   Dfa Min = D.minimized();
   EXPECT_LE(Min.numStates(), D.numStates());
-  EXPECT_TRUE(equivalent(Min.toNfa(), M));
+  EXPECT_TRUE(equivalentTo(Min.toNfa(), M));
   // The minimal complete DFA for exactly-two-symbols-of{a,b} has 4 states:
   // lengths 0,1,2 and the dead state.
   EXPECT_EQ(Min.numStates(), 4u);

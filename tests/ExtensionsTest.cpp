@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automata/NfaOps.h"
+#include "automata/Decide.h"
 #include "miniphp/Analysis.h"
 #include "regex/RegexCompiler.h"
 #include "solver/Extensions.h"
@@ -50,7 +51,7 @@ TEST(ExtensionsTest, LengthWindowIsDeterministicChain) {
   Nfa M = lengthWindow(1, 8);
   Nfa Twice = intersect(M, M).trimmed();
   EXPECT_LE(Twice.numStates(), M.numStates() + 1);
-  EXPECT_TRUE(equivalent(Twice, M));
+  EXPECT_TRUE(equivalentTo(Twice, M));
 }
 
 TEST(ExtensionsTest, UnionOfLanguages) {
@@ -71,8 +72,8 @@ TEST(ExtensionsTest, UnionAsConstraintRhs) {
                   unionOf({regexLanguage("a+"), regexLanguage("b+")}));
   SolveResult R = Solver().solve(P);
   ASSERT_TRUE(R.Satisfiable);
-  EXPECT_TRUE(equivalent(R.Assignments[0].language(V),
-                         regexLanguage("a+|b+")));
+  EXPECT_TRUE(equivalentTo(R.Assignments[0].language(V),
+                           regexLanguage("a+|b+")));
 }
 
 TEST(ExtensionsTest, SubstringAt) {

@@ -190,7 +190,7 @@ TEST_P(SolverDifferentialTest, WitnessesAndVerdictMatchBruteForce) {
       Nfa Lhs = Nfa::epsilonLanguage();
       for (const Term &T : C.Lhs)
         Lhs = concat(Lhs, T.isVariable() ? A.language(T.Var) : T.Language);
-      EXPECT_TRUE(isSubsetOf(Lhs, C.Rhs))
+      EXPECT_TRUE(subsetOf(Lhs, C.Rhs))
           << "seed " << GetParam() << ": assignment violates a constraint\n"
           << P.str();
     }

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/Gci.h"
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 #include "solver/DependencyGraph.h"
@@ -67,32 +68,32 @@ TEST(GciTest, PaperFigure9TwoSolutionsFromFourCandidates) {
   NodeId NVa = G.nodeForVariable(Va), NVb = G.nodeForVariable(Vb),
          NVc = G.nodeForVariable(Vc);
   for (const auto &S : R.Solutions) {
-    EXPECT_TRUE(isSubsetOf(S.at(NVa), CVa));
-    EXPECT_TRUE(isSubsetOf(S.at(NVb), CVb));
-    EXPECT_TRUE(isSubsetOf(S.at(NVc), CVc));
-    EXPECT_TRUE(isSubsetOf(concat(S.at(NVa), S.at(NVb)), C1));
-    EXPECT_TRUE(isSubsetOf(concat(S.at(NVb), S.at(NVc)), C2));
+    EXPECT_TRUE(subsetOf(S.at(NVa), CVa));
+    EXPECT_TRUE(subsetOf(S.at(NVb), CVb));
+    EXPECT_TRUE(subsetOf(S.at(NVc), CVc));
+    EXPECT_TRUE(subsetOf(concat(S.at(NVa), S.at(NVb)), C1));
+    EXPECT_TRUE(subsetOf(concat(S.at(NVb), S.at(NVc)), C2));
 
     for (const std::string &W : enumerateStrings(CVa, 8)) {
       if (S.at(NVa).accepts(W))
         continue;
       Nfa Extended = alternate(S.at(NVa), Nfa::literal(W));
-      EXPECT_FALSE(isSubsetOf(concat(Extended, S.at(NVb)), C1))
+      EXPECT_FALSE(subsetOf(concat(Extended, S.at(NVb)), C1))
           << "va extendable with " << W;
     }
     for (const std::string &W : enumerateStrings(CVb, 8)) {
       if (S.at(NVb).accepts(W))
         continue;
       Nfa Extended = alternate(S.at(NVb), Nfa::literal(W));
-      bool StillOk = isSubsetOf(concat(S.at(NVa), Extended), C1) &&
-                     isSubsetOf(concat(Extended, S.at(NVc)), C2);
+      bool StillOk = subsetOf(concat(S.at(NVa), Extended), C1) &&
+                     subsetOf(concat(Extended, S.at(NVc)), C2);
       EXPECT_FALSE(StillOk) << "vb extendable with " << W;
     }
     for (const std::string &W : enumerateStrings(CVc, 8)) {
       if (S.at(NVc).accepts(W))
         continue;
       Nfa Extended = alternate(S.at(NVc), Nfa::literal(W));
-      EXPECT_FALSE(isSubsetOf(concat(S.at(NVb), Extended), C2))
+      EXPECT_FALSE(subsetOf(concat(S.at(NVb), Extended), C2))
           << "vc extendable with " << W;
     }
   }
@@ -101,13 +102,13 @@ TEST(GciTest, PaperFigure9TwoSolutionsFromFourCandidates) {
   // Paper solution 2: va=op4, vb=pq2, vc=q2r.
   bool Found1 = false, Found2 = false;
   for (const auto &S : R.Solutions) {
-    if (equivalent(S.at(NVa), Nfa::literal("opp")) &&
-        equivalent(S.at(NVb), Nfa::literal("pppqq")) &&
-        equivalent(S.at(NVc), Nfa::literal("qqr")))
+    if (equivalentTo(S.at(NVa), Nfa::literal("opp")) &&
+        equivalentTo(S.at(NVb), Nfa::literal("pppqq")) &&
+        equivalentTo(S.at(NVc), Nfa::literal("qqr")))
       Found1 = true;
-    if (equivalent(S.at(NVa), Nfa::literal("opppp")) &&
-        equivalent(S.at(NVb), Nfa::literal("pqq")) &&
-        equivalent(S.at(NVc), Nfa::literal("qqr")))
+    if (equivalentTo(S.at(NVa), Nfa::literal("opppp")) &&
+        equivalentTo(S.at(NVb), Nfa::literal("pqq")) &&
+        equivalentTo(S.at(NVc), Nfa::literal("qqr")))
       Found2 = true;
   }
   EXPECT_TRUE(Found1);
@@ -134,8 +135,8 @@ TEST(GciTest, OperationOrderingInvariant) {
   ASSERT_EQ(R.Solutions.size(), 1u);
   const auto &S = R.Solutions.front();
   Nfa Expected = intersect(searchLanguage("'"), searchLanguage("[\\d]$"));
-  EXPECT_TRUE(equivalent(S.at(G.nodeForVariable(V2)), Expected));
-  EXPECT_TRUE(equivalent(S.at(G.nodeForVariable(V1)), C1));
+  EXPECT_TRUE(equivalentTo(S.at(G.nodeForVariable(V2)), Expected));
+  EXPECT_TRUE(equivalentTo(S.at(G.nodeForVariable(V1)), C1));
 }
 
 TEST(GciTest, NestedConcatenationSharesOneRootMachine) {
@@ -155,7 +156,7 @@ TEST(GciTest, NestedConcatenationSharesOneRootMachine) {
     Nfa Whole = concat(concat(S.at(G.nodeForVariable(V1)),
                               S.at(G.nodeForVariable(V2))),
                        S.at(G.nodeForVariable(V3)));
-    EXPECT_TRUE(isSubsetOf(Whole, C4));
+    EXPECT_TRUE(subsetOf(Whole, C4));
   }
   // Splits of "abc" into three parts: 4-choose-2 with repetition = 10
   // epsilon-pair combinations, but some collapse; all solutions must
@@ -185,7 +186,7 @@ TEST(GciTest, RepeatedVariableInOneConcatMustBeConsistent) {
   DependencyGraph G = DependencyGraph::build(P);
   for (const auto &S : R.Solutions) {
     const Nfa &L = S.at(G.nodeForVariable(V));
-    EXPECT_TRUE(isSubsetOf(concat(L, L), C));
+    EXPECT_TRUE(subsetOf(concat(L, L), C));
     EXPECT_FALSE(L.languageIsEmpty());
   }
   // "aa" = "a"."a" must be covered by some solution with v accepting "a".
@@ -249,8 +250,8 @@ TEST(GciTest, ConstantOperandSplitIsVerifiedAway) {
   EXPECT_GE(R.CombinationsRejectedByVerification, 1u);
   ASSERT_EQ(R.Solutions.size(), 1u);
   const Nfa &L = R.Solutions.front().at(G.nodeForVariable(V));
-  EXPECT_TRUE(isSubsetOf(concat(Const, L), Attack));
-  EXPECT_TRUE(equivalent(L, Attack));
+  EXPECT_TRUE(subsetOf(concat(Const, L), Attack));
+  EXPECT_TRUE(equivalentTo(L, Attack));
 }
 
 TEST(GciTest, BaseLanguageOverridesVariableStart) {
@@ -270,7 +271,7 @@ TEST(GciTest, BaseLanguageOverridesVariableStart) {
   ASSERT_FALSE(R.Solutions.empty());
   for (const auto &S : R.Solutions)
     EXPECT_TRUE(
-        isSubsetOf(S.at(G.nodeForVariable(V1)), regexLanguage("aa")));
+        subsetOf(S.at(G.nodeForVariable(V1)), regexLanguage("aa")));
 }
 
 TEST(GciTest, ThreeDeepNestingWithSharedVariable) {
@@ -284,7 +285,7 @@ TEST(GciTest, ThreeDeepNestingWithSharedVariable) {
   DependencyGraph G = DependencyGraph::build(P);
   for (const auto &S : R.Solutions) {
     const Nfa &L = S.at(G.nodeForVariable(V));
-    EXPECT_TRUE(isSubsetOf(concat(concat(L, L), L), C));
+    EXPECT_TRUE(subsetOf(concat(concat(L, L), L), C));
   }
   // v = {a} (a.a.a = a^3) and v = {aa} (a^6) must both be covered.
   bool CoversA = false, CoversAA = false;
@@ -310,6 +311,6 @@ TEST(GciTest, MinimizeIntermediatesPreservesSolutions) {
   DependencyGraph G = DependencyGraph::build(P);
   for (size_t I = 0; I != A.Solutions.size(); ++I)
     for (VarId V : {V1, V2})
-      EXPECT_TRUE(equivalent(A.Solutions[I].at(G.nodeForVariable(V)),
-                             B.Solutions[I].at(G.nodeForVariable(V))));
+      EXPECT_TRUE(equivalentTo(A.Solutions[I].at(G.nodeForVariable(V)),
+                               B.Solutions[I].at(G.nodeForVariable(V))));
 }

@@ -1,5 +1,6 @@
 //===- NfaToRegexTest.cpp - State-elimination round-trip tests ------------===//
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/NfaToRegex.h"
 #include "regex/RegexCompiler.h"
@@ -16,7 +17,7 @@ void checkRoundTrip(const Nfa &M) {
   std::string Pattern = nfaToRegex(M);
   SCOPED_TRACE("regenerated pattern: " + Pattern);
   Nfa Back = regexLanguage(Pattern);
-  EXPECT_TRUE(equivalent(M, Back));
+  EXPECT_TRUE(equivalentTo(M, Back));
 }
 
 } // namespace

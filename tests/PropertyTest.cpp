@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automata/NfaOps.h"
+#include "automata/Decide.h"
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
 #include "solver/Solver.h"
@@ -166,7 +167,7 @@ TEST_P(SolverPropertyTest, SoundCompleteAndMaximal) {
   // --- Soundness: every assignment satisfies every constraint. ----------
   for (const Assignment &A : R.Assignments) {
     for (const Constraint &C : P.constraints()) {
-      EXPECT_TRUE(isSubsetOf(lhsLanguage(P, C, A), C.Rhs))
+      EXPECT_TRUE(subsetOf(lhsLanguage(P, C, A), C.Rhs))
           << "seed " << GetParam() << "\n"
           << P.str();
     }
@@ -231,7 +232,7 @@ TEST_P(SolverPropertyTest, SoundCompleteAndMaximal) {
                                : T.Language;
             Lhs = concat(Lhs, L);
           }
-          if (!isSubsetOf(Lhs, C.Rhs)) {
+          if (!subsetOf(Lhs, C.Rhs)) {
             StillSatisfying = false;
             break;
           }
@@ -287,7 +288,7 @@ TEST_P(QuotientPropertyTest, QuotientsAgreeWithDefinition) {
   // And the converse on machines: quotient members must have *some*
   // completion (checked via emptiness of the defining product).
   if (!L.languageIsEmpty()) {
-    EXPECT_TRUE(isSubsetOf(Right, rightQuotient(K, L)));
+    EXPECT_TRUE(subsetOf(Right, rightQuotient(K, L)));
     // x in rightQuotient => exists s in L with xs in K: verify via
     // concat: rightQuotient(K,L) . L must intersect K.
     if (!Right.languageIsEmpty()) {

@@ -1,5 +1,6 @@
 //===- RegexExtendedTest.cpp - Extended regex operators (& and ~) ---------===//
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/Matcher.h"
 #include "regex/RegexCompiler.h"
@@ -63,13 +64,13 @@ TEST(RegexExtendedTest, ComplementBindsToRepetitionUnit) {
 TEST(RegexExtendedTest, DoubleComplementIsIdentity) {
   Nfa A = extLanguage("~~(a(b|c)*)");
   Nfa B = regexLanguage("a(b|c)*");
-  EXPECT_TRUE(equivalent(A, B));
+  EXPECT_TRUE(equivalentTo(A, B));
 }
 
 TEST(RegexExtendedTest, DeMorganOnSyntax) {
   Nfa Lhs = extLanguage("~(a*&[ab]*b)");
   Nfa Rhs = extLanguage("~a*|~([ab]*b)");
-  EXPECT_TRUE(equivalent(Lhs, Rhs));
+  EXPECT_TRUE(equivalentTo(Lhs, Rhs));
 }
 
 TEST(RegexExtendedTest, MatcherAgreesWithCompiler) {
@@ -94,7 +95,7 @@ TEST(RegexExtendedTest, PrintRoundTripsThroughExtendedParser) {
     std::string Printed = R.Ast->str();
     RegexParseResult R2 = parseRegexExtended(Printed);
     ASSERT_TRUE(R2.ok()) << Pattern << " printed as " << Printed;
-    EXPECT_TRUE(equivalent(compileRegex(*R.Ast), compileRegex(*R2.Ast)))
+    EXPECT_TRUE(equivalentTo(compileRegex(*R.Ast), compileRegex(*R2.Ast)))
         << Pattern << " vs " << Printed;
   }
 }
@@ -134,5 +135,5 @@ TEST(RegexExtendedTest, AttackSpecWithIntersection) {
   // directly instead of intersecting two machines by hand.
   Nfa Attack = extLanguage(".*'.*&.*[0-9]");
   Nfa Manual = intersect(searchLanguage("'"), searchLanguage("[0-9]$"));
-  EXPECT_TRUE(equivalent(Attack, Manual));
+  EXPECT_TRUE(equivalentTo(Attack, Manual));
 }

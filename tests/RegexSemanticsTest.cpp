@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automata/NfaOps.h"
+#include "automata/Decide.h"
 #include "regex/Matcher.h"
 #include "regex/RegexCompiler.h"
 #include "regex/RegexParser.h"
@@ -146,5 +147,5 @@ TEST(RegexSemanticsTest, PaperVulnerableFilterLanguage) {
 TEST(RegexSemanticsTest, AnchorsOnBothSidesGiveExactLanguage) {
   Nfa A = searchLanguage("^abc$");
   Nfa B = regexLanguage("abc");
-  EXPECT_TRUE(equivalent(A, B));
+  EXPECT_TRUE(equivalentTo(A, B));
 }

@@ -1,5 +1,6 @@
 //===- SerializeTest.cpp - Automata persistence tests ---------------------===//
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "automata/Serialize.h"
 #include "regex/RegexCompiler.h"
@@ -19,7 +20,7 @@ void checkRoundTrip(const Nfa &M, const std::string &Name = "m") {
   EXPECT_EQ(R.Machine->numStates(), M.numStates());
   EXPECT_EQ(R.Machine->start(), M.start());
   EXPECT_EQ(R.Machine->numTransitions(), M.numTransitions());
-  EXPECT_TRUE(equivalent(*R.Machine, M));
+  EXPECT_TRUE(equivalentTo(*R.Machine, M));
 }
 
 } // namespace

@@ -27,7 +27,7 @@
 #include "service/Protocol.h"
 #include "service/Router.h"
 #include "service/ThreadPool.h"
-#include "support/Cancellation.h"
+#include "support/Budget.h"
 #include "support/FaultInjector.h"
 #include "support/Stats.h"
 
@@ -319,10 +319,10 @@ TEST(ServiceTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
 
 TEST(ServiceTest, PreCancelledTokenReportsCancelled) {
   SolverService Service(ServiceOptions{});
-  CancellationToken Token;
-  Token.cancel();
+  ResourceBudget Budget;
+  Budget.cancel();
   Json Resp =
-      Service.handleLine(solveLine(1, "var v; v <= /a*/;"), &Token);
+      Service.handleLine(solveLine(1, "var v; v <= /a*/;"), &Budget);
   EXPECT_EQ(errorCodeOf(Resp), "cancelled");
 }
 
@@ -331,13 +331,13 @@ TEST(ServiceTest, CancellationUnwindsMidSolve) {
   // ~30ms in must unwind the solver long before that. The generous bound
   // below only guards against a wedged worker, not timing precision.
   SolverService Service(ServiceOptions{});
-  CancellationToken Token;
+  ResourceBudget Budget;
   std::thread Canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    Token.cancel();
+    Budget.cancel();
   });
   auto Start = std::chrono::steady_clock::now();
-  Json Resp = Service.handleLine(solveLine(1, slowInstance()), &Token);
+  Json Resp = Service.handleLine(solveLine(1, slowInstance()), &Budget);
   auto Elapsed = std::chrono::steady_clock::now() - Start;
   Canceller.join();
   EXPECT_EQ(errorCodeOf(Resp), "cancelled");
@@ -564,10 +564,10 @@ TEST(ServiceTest, ResourceExhaustedIsDistinctFromTimeoutAndCancelled) {
                 "{\"constraints\": \"var v; v <= /a*/;\", "
                 "\"deadline_ms\": 0}}")),
             "timeout");
-  CancellationToken Token;
-  Token.cancel();
+  ResourceBudget Cancelled;
+  Cancelled.cancel();
   EXPECT_EQ(errorCodeOf(Service.handleLine(
-                solveLine(3, PathologicalInstance), &Token)),
+                solveLine(3, PathologicalInstance), &Cancelled)),
             "cancelled");
 }
 
@@ -584,6 +584,76 @@ TEST(ServiceTest, DecideHonorsThePerRequestBudget) {
   Req["params"] = std::move(Params);
   EXPECT_EQ(errorCodeOf(Service.handleLine(Req.dump(0))),
             "resource_exhausted");
+}
+
+//===----------------------------------------------------------------------===//
+// SolverService: one budget governs parse, decide and render
+//===----------------------------------------------------------------------===//
+
+/// Handles \p Req synchronously; \p Ms receives the wall time it took.
+Json timedHandle(SolverService &Service, const Json &Req, int64_t &Ms) {
+  auto Start = std::chrono::steady_clock::now();
+  Json Resp = Service.handleLine(Req.dump(0));
+  Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+           std::chrono::steady_clock::now() - Start)
+           .count();
+  return Resp;
+}
+
+TEST(ServiceTest, ParseTimeComplementObeysTheDeadline) {
+  // `~` determinizes while the constraint text is parsed: ~2^21 macro
+  // states, many seconds of work. The parse runs under the request's
+  // budget, so the deadline stops it.
+  SolverService Service(ServiceOptions{});
+  Json Req = Json::object();
+  Req["id"] = 1;
+  Req["method"] = "solve";
+  Req["params"] = Json::object();
+  Req["params"]["constraints"] = "var x; x <= /c/; x <= /~((a|b)*a(a|b){20})/;";
+  Req["params"]["deadline_ms"] = 300;
+  int64_t Ms = 0;
+  Json Resp = timedHandle(Service, Req, Ms);
+  EXPECT_EQ(errorCodeOf(Resp), "timeout");
+  EXPECT_LT(Ms, 600);
+}
+
+TEST(ServiceTest, ExponentialRenderObeysTheMemoryCap) {
+  // The answer's 64-state minimal DFA solves at once, but its regex text
+  // grows exponentially during state elimination. The render charges the
+  // text to the request's budget, so the request unwinds into a
+  // structured error instead of exhausting memory.
+  SolverService Service(ServiceOptions{});
+  Json Req = Json::object();
+  Req["id"] = 1;
+  Req["method"] = "solve";
+  Req["params"] = Json::object();
+  Req["params"]["constraints"] = "var x; x <= /(a|b)*a(a|b){5}/;";
+  Req["params"]["deadline_ms"] = 1000;
+  Req["params"]["max_memory_bytes"] = 100000000;
+  int64_t Ms = 0;
+  std::string Code = errorCodeOf(timedHandle(Service, Req, Ms));
+  EXPECT_TRUE(Code == "timeout" || Code == "resource_exhausted") << Code;
+  EXPECT_LT(Ms, 2000);
+}
+
+TEST(ServiceTest, DecideObeysTheDeadlineMidQuery) {
+  // The subset holds, and proving it means exploring far more product
+  // pairs than 200 ms allow: the antichain cannot prune the right-hand
+  // side's two-component macro states.
+  SolverService Service(ServiceOptions{});
+  Json Req = Json::object();
+  Req["id"] = 1;
+  Req["method"] = "decide";
+  Req["params"] = Json::object();
+  Req["params"]["query"] = "subset";
+  Req["params"]["lhs"] = serializeNfa(machineFor("(a|b)*a(a|b){18}"));
+  Req["params"]["rhs"] =
+      serializeNfa(machineFor("(a|b)*b(a|b){18}|(a|b)*a(a|b){18}"));
+  Req["params"]["deadline_ms"] = 200;
+  int64_t Ms = 0;
+  Json Resp = timedHandle(Service, Req, Ms);
+  EXPECT_EQ(errorCodeOf(Resp), "timeout");
+  EXPECT_LT(Ms, 400);
 }
 
 TEST(ServiceTest, ServerBudgetCapClampsTheRequestParam) {

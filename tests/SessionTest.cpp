@@ -11,8 +11,8 @@
 //     assignment's languages and witnesses must match byte for byte;
 //   * budget-exhaustion and cancellation parity on fresh sessions (the
 //     cold-cache case where the warm check performs exactly the cold
-//     solve's work, so even the Cancelled/ResourceExhausted bits must
-//     agree);
+//     solve's work, so even the Interrupted bit and the budget's tripped
+//     dimension must agree);
 //   * targeted reuse-accounting tests: re-checks without mutation splice
 //     everything, pop() re-hits the content-keyed caches, textual deltas
 //     via push(text)/assertText, per-check MaxSolutions overrides,
@@ -33,7 +33,6 @@
 #include "solver/DependencyGraph.h"
 #include "solver/Solver.h"
 #include "support/Budget.h"
-#include "support/Cancellation.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -65,16 +64,15 @@ std::string randomPattern(std::mt19937 &Rng, int Depth) {
   return "[ab]";
 }
 
-/// Byte-exact digest of a SolveResult: status bits plus, per assignment
+/// Byte-exact digest of a SolveResult: the status bit plus, per assignment
 /// and per variable, the structural machine encoding and the witness.
 /// Two results with equal fingerprints are bit-identical in everything
 /// the session equivalence guarantee covers (stats counters excluded:
 /// a warm check legitimately does less work).
 std::string fingerprint(const SolveResult &R) {
   std::ostringstream Os;
-  Os << "sat=" << R.Satisfiable << " cancelled=" << R.Cancelled
-     << " exhausted=" << R.ResourceExhausted << " n=" << R.Assignments.size()
-     << "\n";
+  Os << "sat=" << R.Satisfiable << " interrupted=" << R.Interrupted
+     << " n=" << R.Assignments.size() << "\n";
   for (const Assignment &A : R.Assignments) {
     for (VarId V = 0; V != A.numVariables(); ++V) {
       std::optional<std::string> W = A.witness(V);
@@ -89,6 +87,12 @@ std::string fingerprint(const SolveResult &R) {
 /// instance under the session's own options.
 SolveResult coldSolve(const SolverSession &S) {
   return Solver(S.options()).solve(S.problem());
+}
+
+/// Runs \p Fn with \p Budget as the calling thread's ambient budget.
+template <typename F> SolveResult underBudget(ResourceBudget &Budget, F Fn) {
+  ResourceGuard Guard(&Budget);
+  return Fn();
 }
 
 /// Copies the session's flattened instance into \p Fresh as base-frame
@@ -220,7 +224,8 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
 
   // Budget parity on a cold cache (every 7th seed): a fresh session's
   // first check performs exactly the cold solve's work, so even the
-  // ResourceExhausted bit must agree under an equal budget.
+  // Interrupted bit and the tripped dimension must agree under an equal
+  // budget.
   if (Seed % 7 == 0) {
     ResourceLimits Limits;
     Limits.MaxStates = 60;
@@ -231,41 +236,39 @@ TEST_P(SessionDifferentialTest, WarmChecksMatchColdSolves) {
     DecisionCache::global().clear();
     clearMinimizeCache();
     ResourceBudget ColdBudget(Limits);
-    SolverOptions ColdOpts;
-    ColdOpts.Budget = &ColdBudget;
-    SolveResult Cold = Solver(ColdOpts).solve(S.problem());
+    SolveResult Cold = underBudget(
+        ColdBudget, [&] { return Solver().solve(S.problem()); });
 
     DecisionCache::global().clear();
     clearMinimizeCache();
     SolverSession Fresh;
     replicateInto(S, Fresh);
     ResourceBudget WarmBudget(Limits);
-    SessionCheckOptions CO;
-    CO.Budget = &WarmBudget;
-    SolveResult Warm = Fresh.check(CO);
+    SolveResult Warm = underBudget(WarmBudget, [&] { return Fresh.check(); });
 
     ASSERT_EQ(fingerprint(Warm), fingerprint(Cold))
         << "seed " << Seed << " (budgeted):\n"
         << S.problem().str();
+    EXPECT_EQ(WarmBudget.dimension(), ColdBudget.dimension())
+        << "seed " << Seed;
   }
 
-  // Cancellation parity (every 11th seed): a pre-cancelled token unwinds
+  // Cancellation parity (every 11th seed): a pre-cancelled budget unwinds
   // both sides before any work happens.
   if (Seed % 11 == 0) {
-    CancellationToken Token;
-    Token.cancel();
-    SolverOptions ColdOpts;
-    ColdOpts.Cancel = &Token;
-    SolveResult Cold = Solver(ColdOpts).solve(S.problem());
+    ResourceBudget Cancelled;
+    Cancelled.cancel();
+    SolveResult Cold =
+        underBudget(Cancelled, [&] { return Solver().solve(S.problem()); });
 
     SolverSession Fresh;
     replicateInto(S, Fresh);
-    SessionCheckOptions CO;
-    CO.Cancel = &Token;
-    SolveResult Warm = Fresh.check(CO);
+    SolveResult Warm = underBudget(Cancelled, [&] { return Fresh.check(); });
 
     ASSERT_EQ(fingerprint(Warm), fingerprint(Cold)) << "seed " << Seed;
-    EXPECT_TRUE(Warm.Cancelled) << "seed " << Seed;
+    EXPECT_TRUE(Warm.Interrupted) << "seed " << Seed;
+    EXPECT_EQ(Cancelled.dimension(), BudgetDimension::Cancelled)
+        << "seed " << Seed;
     EXPECT_FALSE(Warm.Satisfiable) << "seed " << Seed;
   }
 }
@@ -444,10 +447,9 @@ TEST(SessionTest, BudgetExhaustedCheckRecovers) {
   ResourceLimits Limits;
   Limits.MaxStates = 40;
   ResourceBudget Budget(Limits);
-  SessionCheckOptions CO;
-  CO.Budget = &Budget;
-  SolveResult Exhausted = S.check(CO);
-  ASSERT_TRUE(Exhausted.ResourceExhausted);
+  SolveResult Exhausted = underBudget(Budget, [&] { return S.check(); });
+  ASSERT_TRUE(Exhausted.Interrupted);
+  EXPECT_TRUE(isResourceDimension(Budget.dimension()));
   EXPECT_FALSE(Exhausted.Satisfiable);
   EXPECT_TRUE(Exhausted.Assignments.empty());
 
@@ -455,7 +457,7 @@ TEST(SessionTest, BudgetExhaustedCheckRecovers) {
   // graph; an unbudgeted re-check completes and matches the cold solver.
   SolveResult Clean = S.check();
   EXPECT_TRUE(Clean.Satisfiable);
-  EXPECT_FALSE(Clean.ResourceExhausted);
+  EXPECT_FALSE(Clean.Interrupted);
   EXPECT_EQ(fingerprint(Clean), fingerprint(coldSolve(S)));
 }
 
@@ -465,16 +467,15 @@ TEST(SessionTest, CancelledCheckRecovers) {
   ASSERT_TRUE(S.assertText("var v; var w; v . w <= /ab|ba/;", &Error))
       << Error;
 
-  CancellationToken Token;
-  Token.cancel();
-  SessionCheckOptions CO;
-  CO.Cancel = &Token;
-  SolveResult Cancelled = S.check(CO);
-  EXPECT_TRUE(Cancelled.Cancelled);
+  ResourceBudget Budget;
+  Budget.cancel();
+  SolveResult Cancelled = underBudget(Budget, [&] { return S.check(); });
+  EXPECT_TRUE(Cancelled.Interrupted);
+  EXPECT_EQ(Budget.dimension(), BudgetDimension::Cancelled);
   EXPECT_FALSE(Cancelled.Satisfiable);
 
   SolveResult Clean = S.check();
-  EXPECT_FALSE(Clean.Cancelled);
+  EXPECT_FALSE(Clean.Interrupted);
   EXPECT_EQ(fingerprint(Clean), fingerprint(coldSolve(S)));
 }
 

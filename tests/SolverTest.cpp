@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/Solver.h"
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "regex/RegexCompiler.h"
 
@@ -24,7 +25,7 @@ TEST(SolverTest, Paper311UniqueSolution) {
   ASSERT_TRUE(R.Satisfiable);
   ASSERT_EQ(R.Assignments.size(), 1u);
   EXPECT_TRUE(
-      equivalent(R.Assignments[0].language(V1), regexLanguage("(xx)+y")));
+      equivalentTo(R.Assignments[0].language(V1), regexLanguage("(xx)+y")));
 }
 
 TEST(SolverTest, Paper311DisjunctiveSolutions) {
@@ -48,14 +49,14 @@ TEST(SolverTest, Paper311DisjunctiveSolutions) {
 
   bool FoundA1 = false, FoundA2 = false;
   for (const Assignment &A : R.Assignments) {
-    EXPECT_TRUE(isSubsetOf(A.language(V1), C1));
-    EXPECT_TRUE(isSubsetOf(A.language(V2), C2));
-    EXPECT_TRUE(isSubsetOf(concat(A.language(V1), A.language(V2)), C3));
-    if (equivalent(A.language(V1), regexLanguage("xyy")) &&
-        equivalent(A.language(V2), regexLanguage("z|yyz")))
+    EXPECT_TRUE(subsetOf(A.language(V1), C1));
+    EXPECT_TRUE(subsetOf(A.language(V2), C2));
+    EXPECT_TRUE(subsetOf(concat(A.language(V1), A.language(V2)), C3));
+    if (equivalentTo(A.language(V1), regexLanguage("xyy")) &&
+        equivalentTo(A.language(V2), regexLanguage("z|yyz")))
       FoundA1 = true;
-    if (equivalent(A.language(V1), regexLanguage("x(yy|yyyy)")) &&
-        equivalent(A.language(V2), regexLanguage("z")))
+    if (equivalentTo(A.language(V1), regexLanguage("x(yy|yyyy)")) &&
+        equivalentTo(A.language(V2), regexLanguage("z")))
       FoundA2 = true;
   }
   EXPECT_TRUE(FoundA1);
@@ -80,7 +81,7 @@ TEST(SolverTest, MotivatingExampleProducesExploit) {
   // The solution: all strings that contain a quote and end with a digit.
   Nfa Expected =
       intersect(searchLanguage("'"), searchLanguage("[\\d]+$"));
-  EXPECT_TRUE(equivalent(A.language(V1), Expected));
+  EXPECT_TRUE(equivalentTo(A.language(V1), Expected));
 
   // A concrete exploit witness exists, contains a quote, ends in a digit,
   // and passes the faulty filter.
@@ -113,8 +114,8 @@ TEST(SolverTest, UnconstrainedVariableIsSigmaStar) {
   P.addConstraint({P.var(W)}, Nfa::literal("x"));
   SolveResult R = Solver().solve(P);
   ASSERT_TRUE(R.Satisfiable);
-  EXPECT_TRUE(equivalent(R.Assignments[0].language(V), Nfa::sigmaStar()));
-  EXPECT_TRUE(equivalent(R.Assignments[0].language(W), Nfa::literal("x")));
+  EXPECT_TRUE(equivalentTo(R.Assignments[0].language(V), Nfa::sigmaStar()));
+  EXPECT_TRUE(equivalentTo(R.Assignments[0].language(W), Nfa::literal("x")));
 }
 
 TEST(SolverTest, FreeVariableIntersectsAllConstraints) {
@@ -125,7 +126,7 @@ TEST(SolverTest, FreeVariableIntersectsAllConstraints) {
   SolveResult R = Solver().solve(P);
   ASSERT_TRUE(R.Satisfiable);
   EXPECT_TRUE(
-      equivalent(R.Assignments[0].language(V), regexLanguage("b+")));
+      equivalentTo(R.Assignments[0].language(V), regexLanguage("b+")));
 }
 
 TEST(SolverTest, EmptyFreeVariableMeansUnsat) {
@@ -168,15 +169,15 @@ TEST(SolverTest, TwoCallSystemFromSection35) {
   SolveResult R = Solver().solve(P);
   ASSERT_TRUE(R.Satisfiable);
   for (const Assignment &A : R.Assignments) {
-    EXPECT_TRUE(isSubsetOf(A.language(V1), regexLanguage("a+")));
-    EXPECT_TRUE(isSubsetOf(A.language(V2), regexLanguage("b+")));
-    EXPECT_TRUE(isSubsetOf(A.language(V3), regexLanguage("c+")));
-    EXPECT_TRUE(isSubsetOf(concat(A.language(V1), A.language(V2)),
-                           regexLanguage("a{1,2}b{1,2}")));
+    EXPECT_TRUE(subsetOf(A.language(V1), regexLanguage("a+")));
+    EXPECT_TRUE(subsetOf(A.language(V2), regexLanguage("b+")));
+    EXPECT_TRUE(subsetOf(A.language(V3), regexLanguage("c+")));
+    EXPECT_TRUE(subsetOf(concat(A.language(V1), A.language(V2)),
+                         regexLanguage("a{1,2}b{1,2}")));
     EXPECT_TRUE(
-        isSubsetOf(concat(concat(A.language(V1), A.language(V2)),
-                          A.language(V3)),
-                   regexLanguage("ab+c|aab+c")));
+        subsetOf(concat(concat(A.language(V1), A.language(V2)),
+                        A.language(V3)),
+                 regexLanguage("ab+c|aab+c")));
     EXPECT_FALSE(A.language(V1).languageIsEmpty());
   }
   // Point coverage: a.b.c and aa.b.c are both realizable.
@@ -206,10 +207,10 @@ TEST(SolverTest, IndependentGroupsCrossProduct) {
   SolveResult R = Solver().solve(P);
   ASSERT_TRUE(R.Satisfiable);
   for (const Assignment &S : R.Assignments) {
-    EXPECT_TRUE(isSubsetOf(concat(S.language(A), S.language(B)),
-                           Nfa::literal("xy")));
-    EXPECT_TRUE(isSubsetOf(concat(S.language(C), S.language(D)),
-                           Nfa::literal("uv")));
+    EXPECT_TRUE(subsetOf(concat(S.language(A), S.language(B)),
+                         Nfa::literal("xy")));
+    EXPECT_TRUE(subsetOf(concat(S.language(C), S.language(D)),
+                         Nfa::literal("uv")));
   }
 }
 
@@ -252,8 +253,8 @@ TEST(SolverTest, MinimizeIntermediatesGivesSameAnswers) {
   SolveResult Min = Solver(Opts).solve(P);
   ASSERT_EQ(Plain.Satisfiable, Min.Satisfiable);
   ASSERT_EQ(Plain.Assignments.size(), Min.Assignments.size());
-  EXPECT_TRUE(equivalent(Plain.Assignments[0].language(V1),
-                         Min.Assignments[0].language(V1)));
+  EXPECT_TRUE(equivalentTo(Plain.Assignments[0].language(V1),
+                           Min.Assignments[0].language(V1)));
 }
 
 TEST(SolverTest, WitnessAndRegexAccessors) {
@@ -264,7 +265,7 @@ TEST(SolverTest, WitnessAndRegexAccessors) {
   ASSERT_TRUE(R.Satisfiable);
   EXPECT_EQ(R.Assignments[0].witness(V), "hello");
   Nfa Back = regexLanguage(R.Assignments[0].regexFor(V));
-  EXPECT_TRUE(equivalent(Back, Nfa::literal("hello")));
+  EXPECT_TRUE(equivalentTo(Back, Nfa::literal("hello")));
 }
 
 TEST(SolverTest, PartialSolvingSkipsUnrelatedGroups) {
@@ -290,11 +291,11 @@ TEST(SolverTest, PartialSolvingSkipsUnrelatedGroups) {
   for (const Assignment &FA : Full.Assignments)
     for (const Assignment &PA : Part.Assignments)
       FoundMatch =
-          FoundMatch || equivalent(FA.language(A), PA.language(A));
+          FoundMatch || equivalentTo(FA.language(A), PA.language(A));
   EXPECT_TRUE(FoundMatch);
   // Unqueried variables come back as Sigma-star placeholders.
   EXPECT_TRUE(
-      equivalent(Part.Assignments[0].language(C), Nfa::sigmaStar()));
+      equivalentTo(Part.Assignments[0].language(C), Nfa::sigmaStar()));
 }
 
 TEST(SolverTest, PartialSolvingSkipsUnrelatedFreeVariables) {
@@ -305,9 +306,9 @@ TEST(SolverTest, PartialSolvingSkipsUnrelatedFreeVariables) {
   P.addConstraint({P.var(B)}, Nfa::literal("y"));
   SolveResult R = Solver().solveFor(P, {A});
   ASSERT_TRUE(R.Satisfiable);
-  EXPECT_TRUE(equivalent(R.Assignments[0].language(A), Nfa::literal("x")));
+  EXPECT_TRUE(equivalentTo(R.Assignments[0].language(A), Nfa::literal("x")));
   EXPECT_TRUE(
-      equivalent(R.Assignments[0].language(B), Nfa::sigmaStar()));
+      equivalentTo(R.Assignments[0].language(B), Nfa::sigmaStar()));
 }
 
 TEST(SolverTest, PartialSolvingStillDetectsQueriedUnsat) {

@@ -7,6 +7,7 @@
 
 #include "tools/Commands.h"
 
+#include "automata/Decide.h"
 #include "automata/NfaOps.h"
 #include "automata/Serialize.h"
 #include "regex/RegexCompiler.h"
@@ -215,7 +216,7 @@ TEST(ToolsTest, AutomataRoundTripThroughFiles) {
   // The minimized output parses back and stays equivalent.
   NfaParseResult Parsed = parseNfa(Min.Out);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
-  EXPECT_TRUE(equivalent(*Parsed.Machine, regexLanguage("a(b|c)d")));
+  EXPECT_TRUE(equivalentTo(*Parsed.Machine, regexLanguage("a(b|c)d")));
 }
 
 TEST(ToolsTest, AutomataBinaryOps) {

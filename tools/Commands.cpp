@@ -997,11 +997,11 @@ int dprle::tools::runAutomata(const std::vector<std::string> &Args,
       return 0;
     }
     if (Op == "equiv") {
-      bool Eq = equivalent(A, B);
+      bool Eq = equivalentTo(A, B);
       Out << (Eq ? "equivalent" : "different") << "\n";
       return Eq ? 0 : 1;
     }
-    bool Sub = isSubsetOf(A, B);
+    bool Sub = subsetOf(A, B);
     Out << (Sub ? "subset" : "not a subset") << "\n";
     return Sub ? 0 : 1;
   }
