@@ -16,15 +16,17 @@
 ///  * decision-kernel answers (Decide.h's DecisionCache),
 ///  * minimized() results (NfaOps.h),
 ///  * a session's reuse table (solver/Session.h),
-///  * symbolic execution's branch-condition languages (miniphp/SymExec.cpp).
+///  * symbolic execution's branch-condition languages (miniphp/SymExec.cpp),
+///  * rendered answers, regex text plus witness (solver/Solution.h).
 ///
 /// A table is split into lock-striped stripes, each bounded twice: by an
 /// entry count the instance chooses, and by MaxPinnedBytes / stripes bytes
-/// of key content pinned by its entries. Overflowing either flushes the
-/// stripe wholesale, counted as one eviction. insert() refuses any value
-/// computed while the calling thread's ResourceGuard is exhausted: a
-/// machine or verdict truncated by a tripped budget must never be served
-/// to a later, ungoverned caller (docs/ROBUSTNESS.md).
+/// pinned by its entries, keys and values both (memoValueBytes below).
+/// Overflowing either flushes the stripe wholesale, counted as one
+/// eviction. insert() refuses any value computed while the calling
+/// thread's ResourceGuard is exhausted: a machine or verdict truncated by
+/// a tripped budget must never be served to a later, ungoverned caller
+/// (docs/ROBUSTNESS.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +41,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -78,20 +81,35 @@ struct MemoKey {
   friend bool operator==(const MemoKey &, const MemoKey &) = default;
 };
 
+/// Heap bytes a memo value pins beyond its map node (which
+/// MemoTable::EntryOverhead covers). Every value type stored in a
+/// MemoTable has an overload, found by argument-dependent lookup next to
+/// the type: scalars pin nothing, a machine its state and transition
+/// storage.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+size_t memoValueBytes(T) {
+  return 0;
+}
+inline size_t memoValueBytes(const Nfa &M) {
+  return M.numStates() * sizeof(std::vector<Transition>) +
+         M.numTransitions() * sizeof(Transition) + M.numStates() / 8;
+}
+
 /// A bounded, lock-striped map from MemoKey to Value; see the file
 /// comment.
 template <typename Value> class MemoTable {
 public:
   /// Bytes all entries of one table may pin, split evenly across its
-  /// stripes: each entry's key bytes plus EntryOverhead. Sized by
-  /// measurement (docs/PERFORMANCE.md): the decide table then peaks no
-  /// higher than a bound of 256 machines per stripe would, and the
-  /// minimize memo keeps its hit ratio.
+  /// stripes: each entry's key bytes, value bytes and EntryOverhead.
+  /// Sized by measurement (docs/PERFORMANCE.md): the decide table then
+  /// peaks no higher than a bound of 256 machines per stripe would, and
+  /// the minimize memo keeps its hit ratio.
   static constexpr size_t MaxPinnedBytes = size_t(6) << 20;
-  /// What an entry costs besides its key bytes, rounded up: the map node
-  /// and bucket, the key's handle vector and the identities' shared
-  /// blocks. Counting it keeps tables of many small entries (decide
-  /// answers) within the same memory as tables of few large ones.
+  /// What an entry costs besides its key and value bytes, rounded up: the
+  /// map node and bucket, the key's handle vector and the identities'
+  /// shared blocks. Counting it keeps tables of many small entries
+  /// (decide answers) within the same memory as tables of few large ones.
   static constexpr size_t EntryOverhead = 256;
 
   /// Where lookups and flushes are counted; null counters are skipped.
@@ -119,10 +137,10 @@ public:
   }
 
   /// Files \p V under \p K unless the calling thread's budget is
-  /// exhausted or the key alone exceeds the stripe's byte bound. A full
+  /// exhausted or the entry alone exceeds the stripe's byte bound. A full
   /// stripe is flushed first. An existing entry is kept.
   void insert(MemoKey K, Value V) {
-    size_t Bytes = K.pinnedBytes() + EntryOverhead;
+    size_t Bytes = K.pinnedBytes() + memoValueBytes(V) + EntryOverhead;
     if (ResourceGuard::exhausted() || Bytes > MaxBytes)
       return;
     Stripe &S = stripeOf(K);

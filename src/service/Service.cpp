@@ -106,9 +106,10 @@ Json interruptError(const Json &Id, const ResourceBudget &Budget) {
 }
 
 /// The result of solve and session_check: the verdict, every assignment
-/// rendered as regex text plus a witness per variable, and the per-request
-/// solver and decide stats. Rendering runs under the request's ambient
-/// budget; false when it tripped, leaving \p Result partial.
+/// rendered as regex text plus a witness per variable (through the render
+/// memo, solver/Solution.h), and the per-request solver and decide stats.
+/// Rendering runs under the request's ambient budget; false when it
+/// tripped, leaving \p Result partial.
 bool renderSolveResult(const Problem &P, const SolveResult &SR,
                        const StatsRegistry::Snapshot &Before, Json &Result) {
   Result["satisfiable"] = SR.Satisfiable;
@@ -116,12 +117,13 @@ bool renderSolveResult(const Problem &P, const SolveResult &SR,
   for (const Assignment &A : SR.Assignments) {
     Json Obj = Json::object();
     for (VarId V = 0; V != P.numVariables(); ++V) {
-      Json Var = Json::object();
-      Var["regex"] = A.regexFor(V);
+      RenderedLanguage Text = renderLanguage(A.language(V));
       if (ResourceGuard::exhausted())
         return false;
-      if (auto W = A.witness(V))
-        Var["witness"] = *W;
+      Json Var = Json::object();
+      Var["regex"] = std::move(Text.Regex);
+      if (Text.Witness)
+        Var["witness"] = std::move(*Text.Witness);
       Obj[P.variableName(V)] = std::move(Var);
     }
     Assignments.push(std::move(Obj));
@@ -422,9 +424,9 @@ Json SolverService::dispatch(const Request &R, ResourceBudget &Budget) {
   if (R.Method == "decide")
     return doDecide(R, Budget);
   if (R.Method == "session_open")
-    return doSessionOpen(R);
+    return doSessionOpen(R, Budget);
   if (R.Method == "session_push")
-    return doSessionPush(R);
+    return doSessionPush(R, Budget);
   if (R.Method == "session_pop")
     return doSessionPop(R);
   if (R.Method == "session_check")
@@ -605,7 +607,7 @@ SolverService::findSession(const std::string &Id) {
   return It->second;
 }
 
-Json SolverService::doSessionOpen(const Request &R) {
+Json SolverService::doSessionOpen(const Request &R, ResourceBudget &Budget) {
   evictIdleSessions();
 
   // The client may pick the id (mandatory behind a sharded router, which
@@ -625,15 +627,21 @@ Json SolverService::doSessionOpen(const Request &R) {
   const Json *Text = R.Params.find("constraints");
   if (Text && !Text->isString())
     return makeError(R.Id, ErrorCode::InvalidParams, ConstraintsNotAString);
+  if (!applyRequestLimits(Opts, R, Budget, Err))
+    return Err;
 
   auto Entry = std::make_shared<SessionEntry>();
   Entry->S = std::make_unique<SolverSession>(solverOptions(MaxSolutions));
   Entry->LastUsedMs = clock().nowMs();
   if (Text) {
+    // The base parse (whose & and ~ determinize) obeys the request's
+    // budget; a trip opens no session and journals nothing.
+    ResourceGuard Guard(&Budget);
     std::string Error;
     size_t Line = 0;
     if (!Entry->S->assertText(Text->asString(), &Error, &Line))
-      return constraintParseError(R.Id, Line, Error);
+      return Budget.exhausted() ? interruptError(R.Id, Budget)
+                                : constraintParseError(R.Id, Line, Error);
     Entry->BaseText = Text->asString();
   }
   Entry->MaxSolutionsParam = MaxSolutions;
@@ -664,7 +672,7 @@ Json SolverService::doSessionOpen(const Request &R) {
   return makeResult(R.Id, std::move(Result));
 }
 
-Json SolverService::doSessionPush(const Request &R) {
+Json SolverService::doSessionPush(const Request &R, ResourceBudget &Budget) {
   std::string Id;
   Json Err;
   if (!readSessionId(R, Id, Err))
@@ -672,14 +680,22 @@ Json SolverService::doSessionPush(const Request &R) {
   const Json *Text = R.Params.find("constraints");
   if (!Text || !Text->isString())
     return makeError(R.Id, ErrorCode::InvalidParams, ConstraintsNotAString);
+  if (!applyRequestLimits(Opts, R, Budget, Err))
+    return Err;
   std::shared_ptr<SessionEntry> E = findSession(Id);
   if (!E)
     return sessionLostError(R.Id, Id);
   std::lock_guard<std::mutex> Lock(E->M);
   std::string Error;
   size_t Line = 0;
-  if (!E->S->push(Text->asString(), &Error, &Line))
-    return constraintParseError(R.Id, Line, Error);
+  {
+    // The delta's parse obeys the request's budget; a trip leaves the
+    // session as it was and journals nothing.
+    ResourceGuard Guard(&Budget);
+    if (!E->S->push(Text->asString(), &Error, &Line))
+      return Budget.exhausted() ? interruptError(R.Id, Budget)
+                                : constraintParseError(R.Id, Line, Error);
+  }
   {
     // E->M then SessionsMutex — the one nesting order (eviction's
     // SessionsMutex-then-try_lock(E->M) cannot deadlock against it).

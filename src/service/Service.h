@@ -218,8 +218,8 @@ private:
   /// issuing the next verb on the same session — the pool does not
   /// preserve submission order across jobs.
   /// @{
-  Json doSessionOpen(const Request &R);
-  Json doSessionPush(const Request &R);
+  Json doSessionOpen(const Request &R, ResourceBudget &Budget);
+  Json doSessionPush(const Request &R, ResourceBudget &Budget);
   Json doSessionPop(const Request &R);
   Json doSessionCheck(const Request &R, ResourceBudget &Budget);
   Json doSessionClose(const Request &R);

@@ -194,28 +194,21 @@ private:
 
 class ConstraintFileParser {
 public:
-  /// Parsing starts from \p Base's variables and constraints and the
-  /// caller's let-bindings (both empty for a standalone file).
-  ConstraintFileParser(const std::string &Src, const Problem &Base,
-                       const std::map<std::string, Nfa> &Lets)
-      : Lex(Src), Constants(Lets) {
-    Result.Instance = Base;
+  /// Parsing appends to \p Instance's variables and constraints and to
+  /// the caller's let-bindings (both empty for a standalone file).
+  ConstraintFileParser(const std::string &Src, Problem &Instance,
+                       std::map<std::string, Nfa> &Lets)
+      : Lex(Src), P(Instance), Constants(Lets) {
     advance();
   }
 
-  /// The let-bindings after a successful run (seeded ones plus any the
-  /// parsed text declared).
-  const std::map<std::string, Nfa> &letBindings() const { return Constants; }
-
-  ConstraintParseResult run() {
+  ConstraintDeltaResult run() {
     while (!Failed && Cur.Kind != TokKind::End)
       parseStatement();
+    Result.Ok = !Failed;
     if (Failed) {
-      Result.Ok = false;
       Result.Error = ErrorMsg;
       Result.ErrorLine = ErrorLine;
-    } else {
-      Result.Ok = true;
     }
     return std::move(Result);
   }
@@ -297,6 +290,7 @@ private:
     Nfa Language;
     if (!parseConstantLanguage(Language))
       return;
+    Result.DeclaredLets.push_back(Name);
     Constants.emplace(std::move(Name), std::move(Language));
     expect(TokKind::Semi, "';'");
   }
@@ -386,12 +380,13 @@ private:
                              std::move(RhsName));
   }
 
-  Problem &Instance() { return Result.Instance; }
+  Problem &Instance() { return P; }
 
   Lexer Lex;
   Token Cur;
-  ConstraintParseResult Result;
-  std::map<std::string, Nfa> Constants;
+  Problem &P;
+  std::map<std::string, Nfa> &Constants;
+  ConstraintDeltaResult Result;
   bool Failed = false;
   std::string ErrorMsg;
   size_t ErrorLine = 0;
@@ -400,16 +395,18 @@ private:
 } // namespace
 
 ConstraintParseResult dprle::parseConstraintText(const std::string &Text) {
+  ConstraintParseResult Result;
   std::map<std::string, Nfa> Lets;
-  return parseConstraintDelta(Text, Problem(), Lets);
+  ConstraintDeltaResult Parsed =
+      parseConstraintDelta(Text, Result.Instance, Lets);
+  Result.Ok = Parsed.Ok;
+  Result.Error = std::move(Parsed.Error);
+  Result.ErrorLine = Parsed.ErrorLine;
+  return Result;
 }
 
-ConstraintParseResult
-dprle::parseConstraintDelta(const std::string &Text, const Problem &Base,
+ConstraintDeltaResult
+dprle::parseConstraintDelta(const std::string &Text, Problem &Instance,
                             std::map<std::string, Nfa> &Lets) {
-  ConstraintFileParser Parser(Text, Base, Lets);
-  ConstraintParseResult Result = Parser.run();
-  if (Result.Ok)
-    Lets = Parser.letBindings();
-  return Result;
+  return ConstraintFileParser(Text, Instance, Lets).run();
 }

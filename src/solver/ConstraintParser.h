@@ -34,6 +34,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dprle {
 
@@ -49,17 +50,30 @@ struct ConstraintParseResult {
 /// Parses the constraint language described above. Never throws.
 ConstraintParseResult parseConstraintText(const std::string &Text);
 
-/// Parses \p Text as a *delta* against an existing instance: the result's
-/// Instance starts as a copy of \p Base, so constraints in \p Text may
-/// reference \p Base's variables (and the `let` constants in \p Lets) and
-/// new `var`/`let` declarations extend them. Used by the session API
+/// Outcome of parsing a delta in place (parseConstraintDelta).
+struct ConstraintDeltaResult {
+  bool Ok = false;
+  std::string Error;
+  /// 1-based line of the first error.
+  size_t ErrorLine = 0;
+  /// The `let` names the text declared, in order (on failure, those
+  /// declared before the error).
+  std::vector<std::string> DeclaredLets;
+};
+
+/// Parses \p Text as a *delta* straight into an existing instance:
+/// constraints in \p Text may reference \p Instance's variables (and the
+/// `let` constants in \p Lets), and new `var`/`let` declarations and
+/// constraints are appended to both in place. Used by the session API
 /// (Session.h): parsing push(delta) in context yields exactly the Problem
-/// a cold parse of the concatenated texts would. Never throws.
+/// a cold parse of the concatenated texts would, at a cost proportional to
+/// the delta. Never throws.
 ///
-/// \param Lets the let-bindings visible to the delta; new bindings the
-/// delta declares are appended (only on success).
-ConstraintParseResult parseConstraintDelta(const std::string &Text,
-                                           const Problem &Base,
+/// On failure the text's additions up to the error stay in place: the
+/// caller rewinds \p Instance to its earlier watermark
+/// (Problem::truncate) and erases DeclaredLets from \p Lets.
+ConstraintDeltaResult parseConstraintDelta(const std::string &Text,
+                                           Problem &Instance,
                                            std::map<std::string, Nfa> &Lets);
 
 } // namespace dprle

@@ -2,6 +2,7 @@
 
 #include "solver/Gci.h"
 #include "automata/Decide.h"
+#include "automata/MemoTable.h"
 #include "automata/NfaOps.h"
 #include "support/Debug.h"
 #include "support/Trace.h"
@@ -520,4 +521,15 @@ GciResult dprle::solveCiGroup(const DependencyGraph &G,
                               const GciOptions &Opts,
                               const std::map<NodeId, Nfa> *BaseLanguage) {
   return GciRun(G, Group, Opts, BaseLanguage).run();
+}
+
+size_t dprle::memoValueBytes(const GciResult &R) {
+  // A map node holds the pair plus about four words of tree links.
+  constexpr size_t NodeBytes =
+      sizeof(std::pair<const NodeId, Nfa>) + 4 * sizeof(void *);
+  size_t Bytes = R.Solutions.size() * sizeof(std::map<NodeId, Nfa>);
+  for (const std::map<NodeId, Nfa> &Sol : R.Solutions)
+    for (const auto &[N, Lang] : Sol)
+      Bytes += NodeBytes + memoValueBytes(Lang);
+  return Bytes;
 }

@@ -129,6 +129,10 @@ struct GciResult {
   /// @}
 };
 
+/// Heap bytes a result pins as a memo value (automata/MemoTable.h): its
+/// solutions' map nodes and machines.
+size_t memoValueBytes(const GciResult &R);
+
 /// Solves one CI-group. \p Group must come from DependencyGraph::ciGroups()
 /// (topologically ordered). \p BaseLanguage optionally overrides the
 /// starting machine of Variable nodes (default Sigma-star); the Solver uses

@@ -90,9 +90,10 @@ public:
 
   /// Truncates the instance back to its first \p NumVars variables and
   /// \p NumConstraints constraints. Only valid for watermarks captured
-  /// earlier on this instance (the session API's pop(): constraints never
-  /// reference variables declared after them, so rewinding both vectors to
-  /// a common watermark is always consistent).
+  /// earlier on this instance (the session API's pop(), and its rollback
+  /// of a delta that failed to parse: constraints never reference
+  /// variables declared after them, so rewinding both vectors to a common
+  /// watermark is always consistent).
   void truncate(unsigned NumVars, size_t NumConstraints);
 
   /// Renders the instance in the constraint-file syntax (see

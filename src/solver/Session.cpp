@@ -4,6 +4,7 @@
 
 #include "automata/OpStats.h"
 #include "solver/ConstraintParser.h"
+#include "support/Budget.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
@@ -63,8 +64,7 @@ SolverSession::SolverSession(SolverOptions Opts) : Opts(Opts) {}
 SolverSession::~SolverSession() = default;
 
 void SolverSession::push() {
-  Frames.push_back(
-      {Current.numVariables(), Current.constraints().size(), Lets});
+  Frames.push_back({Current.numVariables(), Current.constraints().size(), {}});
   ++SessionStats::global().Pushes;
 }
 
@@ -80,23 +80,35 @@ bool SolverSession::assertText(const std::string &Text, std::string *Error,
 
 bool SolverSession::apply(const std::string &Text, bool OpenFrame,
                           std::string *Error, size_t *ErrorLine) {
-  std::map<std::string, Nfa> NewLets = Lets;
-  ConstraintParseResult Parsed = parseConstraintDelta(Text, Current, NewLets);
-  if (!Parsed.Ok) {
+  // The watermark the text appends after: a frame opened below records
+  // it, and a failed parse rewinds to it.
+  const unsigned NumVars = Current.numVariables();
+  const size_t NumConstraints = Current.constraints().size();
+  ConstraintDeltaResult Parsed = parseConstraintDelta(Text, Current, Lets);
+  // A parse the budget cut short may hold truncated machines (a `~` or
+  // `&` determinizes); it is rolled back like a syntax error.
+  bool Tripped = ResourceGuard::exhausted();
+  if (!Parsed.Ok || Tripped) {
+    Current.truncate(NumVars, NumConstraints);
+    for (const std::string &Name : Parsed.DeclaredLets)
+      Lets.erase(Name);
     if (Error)
-      *Error = Parsed.Error;
+      *Error = Tripped ? "resource budget exhausted while parsing"
+                       : Parsed.Error;
     if (ErrorLine)
-      *ErrorLine = Parsed.ErrorLine;
+      *ErrorLine = Tripped ? 0 : Parsed.ErrorLine;
     return false;
   }
   if (OpenFrame) {
-    Frames.push_back({Current.numVariables(), Current.constraints().size(),
-                      std::move(Lets)});
+    Frames.push_back({NumVars, NumConstraints, {}});
     ++SessionStats::global().Pushes;
   }
+  // The top frame's pop() erases the lets declared within it.
+  if (!Frames.empty())
+    Frames.back().DeclaredLets.insert(Frames.back().DeclaredLets.end(),
+                                      Parsed.DeclaredLets.begin(),
+                                      Parsed.DeclaredLets.end());
   // The text only appended, so the unchanged-prefix watermark stands.
-  Lets = std::move(NewLets);
-  Current = std::move(Parsed.Instance);
   return true;
 }
 
@@ -106,7 +118,8 @@ bool SolverSession::pop() {
   Frame F = std::move(Frames.back());
   Frames.pop_back();
   Current.truncate(F.NumVars, F.NumConstraints);
-  Lets = std::move(F.Lets);
+  for (const std::string &Name : F.DeclaredLets)
+    Lets.erase(Name);
   // Constraints beyond the rewound watermark are gone; anything a future
   // push re-asserts there counts as changed.
   StablePrefix = std::min(StablePrefix, F.NumConstraints);
@@ -227,6 +240,11 @@ bool ReuseTable::findGroup(const DependencyGraph &G,
 
 void ReuseTable::storeGroup(MemoKey Key, const std::vector<NodeId> &Group,
                             const GciResult &Result) {
+  // Identities first, so the entry's copies share them with the solve's
+  // answer and every later splice (see the free-variable filing).
+  for (const std::map<NodeId, Nfa> &Sol : Result.Solutions)
+    for (const auto &[N, Lang] : Sol)
+      Lang.identity();
   std::unordered_map<NodeId, uint32_t> PosOf = positions(Group);
   GciResult Entry = Result;
   for (std::map<NodeId, Nfa> &Sol : Entry.Solutions) {

@@ -190,10 +190,12 @@ public:
   /// in it and the matching pop() rewinds them.
   void push();
 
-  /// Opens a frame and parses \p DeltaText (ConstraintParser.h syntax) in
-  /// the context of the session's variables and let-bindings. On parse
-  /// failure the session is unchanged (no frame is opened) and false is
-  /// returned with \p Error / \p ErrorLine set.
+  /// Opens a frame and parses \p DeltaText (ConstraintParser.h syntax)
+  /// straight into the session, in the context of its variables and
+  /// let-bindings; the cost is the delta's, not the session's. Parsing
+  /// obeys the calling thread's ambient budget. On parse failure or a
+  /// budget trip the session is unchanged (no frame is opened) and false
+  /// is returned with \p Error / \p ErrorLine set (line 0 for a trip).
   bool push(const std::string &DeltaText, std::string *Error = nullptr,
             size_t *ErrorLine = nullptr);
 
@@ -241,10 +243,12 @@ private:
   bool apply(const std::string &Text, bool OpenFrame, std::string *Error,
              size_t *ErrorLine);
 
+  /// A frame's watermark and the let-bindings declared within it (let
+  /// names are never redefined, so erasing them restores the map).
   struct Frame {
     unsigned NumVars = 0;
     size_t NumConstraints = 0;
-    std::map<std::string, Nfa> Lets;
+    std::vector<std::string> DeclaredLets;
   };
 
   SolverOptions Opts;

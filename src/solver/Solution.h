@@ -5,6 +5,13 @@
 /// the Problem to a regular language; a SolveResult carries the (possibly
 /// disjunctive) list of assignments plus run statistics.
 ///
+/// Answers are shown to users as regex text plus a witness string per
+/// variable (renderLanguage). Warm sessions and repeated solves hand back
+/// the same few languages over and over, so renders are memoized by the
+/// machine's content identity (Nfa::identity()) in one bounded,
+/// lock-striped MemoTable, switched off with the decision cache
+/// (`--no-decision-cache`).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DPRLE_SOLVER_SOLUTION_H
@@ -13,12 +20,45 @@
 #include "automata/Nfa.h"
 #include "solver/Problem.h"
 #include "solver/SolverStats.h"
+#include "support/Stats.h"
 
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace dprle {
+
+/// A language as the user sees it.
+struct RenderedLanguage {
+  /// The regex text nfaToRegex (regex/NfaToRegex.h) renders.
+  std::string Regex;
+  /// A shortest member; nullopt only for the empty language.
+  std::optional<std::string> Witness;
+};
+
+/// Heap bytes a render pins as a memo value (automata/MemoTable.h).
+size_t memoValueBytes(const RenderedLanguage &R);
+
+/// Process-wide render-memo counters, published into the StatsRegistry
+/// as "render.*" (docs/OBSERVABILITY.md).
+struct RenderStats {
+  RelaxedCounter Hits;
+  RelaxedCounter Misses;
+  RelaxedCounter Evictions;
+
+  static RenderStats &global();
+};
+
+/// \p M rendered: memoized by content identity, so machines differing
+/// only in epsilon markers share one entry (neither the regex nor the
+/// witness reads markers). Runs under the calling thread's ambient budget
+/// like nfaToRegex: when the budget trips mid-render the result is
+/// meaningless and the caller checks its budget; such a render is never
+/// memoized. Thread-safe.
+RenderedLanguage renderLanguage(const Nfa &M);
+
+/// Drops every memoized render (tests re-create cold conditions with it).
+void clearRenderCache();
 
 /// One satisfying assignment A = [v1 -> x1, ..., vm -> xm].
 class Assignment {

@@ -134,8 +134,13 @@ SolveResult dprle::solvePipeline(const Problem &P, const DependencyGraph &G,
                                      << " has empty language");
         return Finish(false);
       }
-      if (Reuse)
+      if (Reuse) {
+        // Identity first, as minimized() does: the filed copy, this
+        // solve's answer and every later splice then share one handle,
+        // so no check re-encodes the machine to key its render.
+        M.identity();
         Reuse->FreeVars.insert(std::move(Key), M);
+      }
       FreeLanguage[V] = std::move(M);
     }
   }

@@ -84,8 +84,8 @@ Nfa randomMachine(std::mt19937 &Rng, bool WithMarkers) {
   return M;
 }
 
-/// The materialized baselines the kernel must agree with. NfaOps'
-/// isSubsetOf/equivalent now delegate to the kernel, so the baseline is
+/// The materialized baselines the kernel must agree with. subsetOf and
+/// equivalentTo (Decide.h) are the kernel itself, so the baseline is
 /// spelled out from the primitive ops here.
 bool baselineEmptyIntersection(const Nfa &A, const Nfa &B) {
   return intersect(A, B).languageIsEmpty();

@@ -14,7 +14,7 @@
 //     (a) witness strings extracted from every reported assignment must
 //     concretely satisfy every all-variable constraint by direct NFA
 //     acceptance, (b) constraints are re-checked at the automata level
-//     with isSubsetOf, and (c) if brute-force enumeration of short
+//     with subsetOf, and (c) if brute-force enumeration of short
 //     string tuples finds a satisfying point, the solver must have
 //     reported SAT (UNSAT soundness).
 //

@@ -180,6 +180,61 @@ TEST(MemoTableTest, PinnedByteOverflowFlushesTheStripeAndCountsOneEviction) {
   EXPECT_EQ(Evictions.get(), 1u);
 }
 
+/// A value pinning a chosen number of heap bytes.
+struct Blob {
+  size_t Bytes = 0;
+};
+size_t memoValueBytes(const Blob &B) { return B.Bytes; }
+
+TEST(MemoTableTest, ValueBytesCountTowardTheStripeBound) {
+  RelaxedCounter Evictions;
+  MemoTable<Blob> Table(/*NumStripes=*/1, /*MaxEntriesPerStripe=*/16,
+                        {nullptr, nullptr, &Evictions});
+  constexpr size_t StripeBytes = MemoTable<Blob>::MaxPinnedBytes;
+  // Small keys, large values: the key bytes alone would never overflow.
+  MemoKey A = keyOf("a", 1), B = keyOf("b", 2);
+  const size_t Half = StripeBytes / 2;
+  Table.insert(A, Blob{Half});
+  EXPECT_EQ(Table.size(), 1u);
+  EXPECT_EQ(Evictions.get(), 0u);
+  // Together the two values overflow the stripe: one flush.
+  Table.insert(B, Blob{Half});
+  EXPECT_EQ(Evictions.get(), 1u);
+  EXPECT_EQ(Table.size(), 1u);
+  EXPECT_FALSE(Table.find(A));
+  EXPECT_TRUE(Table.find(B));
+}
+
+TEST(MemoTableTest, AValueLargerThanAStripeIsNeverFiled) {
+  RelaxedCounter Evictions;
+  constexpr size_t Stripes = 4;
+  MemoTable<Blob> Table(Stripes, /*MaxEntriesPerStripe=*/16,
+                        {nullptr, nullptr, &Evictions});
+  constexpr size_t StripeBytes = MemoTable<Blob>::MaxPinnedBytes / Stripes;
+  constexpr size_t Overhead = MemoTable<Blob>::EntryOverhead;
+  MemoKey K = keyOf("k", 3);
+  // Exactly at the bound (key, value and overhead together): filed.
+  const size_t Fits = StripeBytes - K.pinnedBytes() - Overhead;
+  Table.insert(K, Blob{Fits});
+  EXPECT_TRUE(Table.find(K));
+  Table.clear();
+  // One byte over: refused outright, and nothing is flushed for it.
+  Table.insert(keyOf("small", 3), Blob{0});
+  Table.insert(K, Blob{Fits + 1});
+  EXPECT_FALSE(Table.find(K));
+  EXPECT_TRUE(Table.find(keyOf("small", 3)));
+  EXPECT_EQ(Evictions.get(), 0u);
+}
+
+TEST(MemoTableTest, MachineValuesCountTheirStorage) {
+  Nfa Small = Nfa::literal("a");
+  Nfa Big = regexLanguage("[a-z]{40}");
+  EXPECT_GT(dprle::memoValueBytes(Big), dprle::memoValueBytes(Small));
+  EXPECT_GE(dprle::memoValueBytes(Big),
+            Big.numTransitions() * sizeof(Transition));
+  EXPECT_EQ(dprle::memoValueBytes(true), 0u);
+}
+
 TEST(MemoTableTest, InsertRefusesValuesComputedUnderATrippedBudget) {
   MemoTable<int> Table(/*NumStripes=*/1, /*MaxEntriesPerStripe=*/8);
   MemoKey Key;

@@ -38,6 +38,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <set>
@@ -1057,6 +1058,63 @@ TEST(ServiceTest, SessionCheckHonorsBudgetDeadlineAndRecovers) {
   const Json *CleanResult = resultOf(CleanResp);
   ASSERT_NE(CleanResult, nullptr);
   EXPECT_TRUE(CleanResult->find("satisfiable")->asBool());
+}
+
+TEST(ServiceTest, SessionParsesObeyTheDeadlineAndLeaveNoTrace) {
+  // session_open and session_push parse their text (whose `~`
+  // determinizes) under the request's budget, as solve does. A trip
+  // answers `timeout` within twice the deadline, leaves the session as it
+  // was, and journals nothing.
+  const std::string Hostile = "x <= /~((a|b)*a(a|b){18})/;";
+  std::filesystem::path Journal =
+      std::filesystem::temp_directory_path() /
+      ("dprle_session_parse_budget_" + std::to_string(::getpid()) +
+       ".journal");
+  std::filesystem::remove(Journal);
+  ServiceOptions Opts;
+  Opts.JournalPath = Journal.string();
+  {
+    SolverService Service(Opts);
+    Json Open = sessionReq(1, "session_open");
+    Open["params"]["session"] = "s";
+    Open["params"]["constraints"] = "var x; x <= /c/;";
+    ASSERT_NE(resultOf(Service.handleLine(Open.dump(0))), nullptr);
+    Json Check = sessionReq(2, "session_check");
+    Check["params"]["session"] = "s";
+    Json Before = Service.handleLine(Check.dump(0));
+    ASSERT_NE(resultOf(Before), nullptr);
+
+    Json Push = sessionReq(3, "session_push");
+    Push["params"]["session"] = "s";
+    Push["params"]["constraints"] = Hostile;
+    Push["params"]["deadline_ms"] = 300;
+    int64_t Ms = 0;
+    EXPECT_EQ(errorCodeOf(timedHandle(Service, Push, Ms)), "timeout");
+    EXPECT_LT(Ms, 600);
+
+    Json After = Service.handleLine(Check.dump(0));
+    ASSERT_NE(resultOf(After), nullptr);
+    EXPECT_EQ(resultOf(After)->find("assignments")->dump(0),
+              resultOf(Before)->find("assignments")->dump(0));
+    EXPECT_EQ(resultOf(After)->find("session")->find("depth")->asUnsigned(),
+              0u);
+
+    Json HostileOpen = sessionReq(4, "session_open");
+    HostileOpen["params"]["session"] = "t";
+    HostileOpen["params"]["constraints"] = "var x; " + Hostile;
+    HostileOpen["params"]["deadline_ms"] = 300;
+    EXPECT_EQ(errorCodeOf(timedHandle(Service, HostileOpen, Ms)), "timeout");
+    EXPECT_LT(Ms, 600);
+    Json Lost = sessionReq(5, "session_check");
+    Lost["params"]["session"] = "t";
+    EXPECT_EQ(errorCodeOf(Service.handleLine(Lost.dump(0))), "session_lost");
+  }
+  std::ifstream In(Journal);
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(Text.find("x <= /c/;"), std::string::npos) << "journal unwritten";
+  EXPECT_EQ(Text.find("(a|b){18}"), std::string::npos) << Text;
+  std::filesystem::remove(Journal);
 }
 
 TEST(ServiceTest, StatsReportSessionTableAndMinimizeCache) {

@@ -428,6 +428,59 @@ TEST(SessionTest, ParseFailureLeavesSessionUnchanged) {
   EXPECT_EQ(fingerprint(S.check()), fingerprint(coldSolve(S)));
 }
 
+TEST(SessionTest, FailedPushAfterDeclarationsRollsBack) {
+  // Deltas parse straight into the session; one that fails after
+  // declaring a variable or a let, on a syntax error or a budget trip,
+  // must rewind both, leaving the problem and the next check
+  // bit-identical and the names free again.
+  SolverSession S;
+  std::string Error;
+  ASSERT_TRUE(S.assertText("var v; let k := /a+/; v <= k;", &Error)) << Error;
+  ASSERT_TRUE(S.push("var u; u <= /b*/; u . v <= /b*a+/;", &Error)) << Error;
+  const std::string Before = S.problem().str();
+  const std::string Answer = fingerprint(S.check());
+
+  size_t Line = 0;
+  EXPECT_FALSE(S.push("var w; let m := /c/; w <= m;\nw <= /(/;", &Error,
+                      &Line));
+  EXPECT_EQ(Line, 2u);
+  EXPECT_EQ(S.depth(), 1u);
+  EXPECT_EQ(S.problem().str(), Before);
+  // A redefinition fails without touching the binding it collides with.
+  EXPECT_FALSE(S.assertText("let k := /z/;", &Error));
+  EXPECT_EQ(S.problem().str(), Before);
+  EXPECT_EQ(fingerprint(S.check()), Answer);
+
+  {
+    // The `~` determinizes far past 10 states while the let is parsed,
+    // after `var w` was declared.
+    ResourceLimits Limits;
+    Limits.MaxStates = 10;
+    ResourceBudget Budget(Limits);
+    ResourceGuard Guard(&Budget);
+    EXPECT_FALSE(S.push("var w; let m := /~((a|b)*a(a|b){6})/; w <= m;",
+                        &Error, &Line));
+    EXPECT_TRUE(Budget.exhausted());
+    EXPECT_FALSE(S.assertText("var w; let m := /~((a|b)*a(a|b){6})/;",
+                              &Error));
+  }
+  EXPECT_EQ(S.depth(), 1u);
+  EXPECT_EQ(S.problem().str(), Before);
+  EXPECT_EQ(fingerprint(S.check()), Answer);
+  EXPECT_EQ(fingerprint(S.check()), fingerprint(coldSolve(S)));
+
+  // The rejected names are free, the base let still resolves, and a
+  // frame's own lets go with its pop.
+  ASSERT_TRUE(
+      S.push("var w; let m := /c/; w <= m; w . v <= /ca+/;", &Error))
+      << Error;
+  EXPECT_TRUE(S.pop());
+  ASSERT_TRUE(S.push("let m := /d/; v <= k;", &Error)) << Error;
+  EXPECT_TRUE(S.pop());
+  EXPECT_EQ(S.problem().str(), Before);
+  EXPECT_EQ(fingerprint(S.check()), Answer);
+}
+
 TEST(SessionTest, PopWithoutFrameFails) {
   SolverSession S;
   EXPECT_FALSE(S.pop());

@@ -95,6 +95,37 @@ TEST(ToolsTest, SolveFirstFlag) {
   EXPECT_NE(R.Out.find("sat (1 assignment)"), std::string::npos);
 }
 
+TEST(ToolsTest, SolveBudgetTripExitsTwoWithOneLine) {
+  // The answer's 64-state minimal DFA solves at once, but its regex text
+  // grows exponentially while rendering. Parse, solve and render share
+  // one budget, so the memory cap stops the render: one line on stderr,
+  // nothing on stdout, exit code 2.
+  const std::string Exponential = "var x; x <= /(a|b)*a(a|b){5}/;";
+  RunResult R =
+      run({"solve", "--max-memory-bytes=100000000", "-"}, Exponential);
+  EXPECT_EQ(R.Code, 2);
+  EXPECT_EQ(R.Err, "resource_exhausted: memory\n");
+  EXPECT_EQ(R.Out, "");
+
+  // The memory cap is only a backstop here: the 1 ms deadline trips long
+  // before a gigabyte of text is charged.
+  RunResult Late = run(
+      {"solve", "--deadline-ms=1", "--max-memory-bytes=1000000000", "-"},
+      Exponential);
+  EXPECT_EQ(Late.Code, 2);
+  EXPECT_EQ(Late.Err, "resource_exhausted: deadline\n");
+
+  // A roomy budget changes nothing.
+  RunResult Roomy = run({"solve", "--max-memory-bytes=100000000",
+                         "--deadline-ms=60000", "-"},
+                        "var v;\nv <= /ab*/;\n");
+  EXPECT_EQ(Roomy.Code, 0);
+  EXPECT_EQ(Roomy.Out, run({"solve", "-"}, "var v;\nv <= /ab*/;\n").Out);
+
+  EXPECT_EQ(run({"solve", "--max-memory-bytes=lots", "-"}, "var v;").Code,
+            2);
+}
+
 TEST(ToolsTest, AnalyzeSqlFromStdin) {
   RunResult R = run({"analyze", "-"},
                     "$x = $_POST['k'];\n"

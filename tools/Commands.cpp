@@ -245,12 +245,32 @@ bool parseUnsignedOption(const std::string &Arg, const char *Prefix,
   return true;
 }
 
+/// Every assignment of \p R, one `name = /regex/  e.g. "witness"` line
+/// per variable, rendered through the render memo (solver/Solution.h).
+/// Runs under the caller's ambient budget; the text is meaningless once
+/// it trips.
+std::string assignmentsText(const Problem &P, const SolveResult &R) {
+  std::ostringstream Out;
+  for (size_t I = 0; I != R.Assignments.size(); ++I) {
+    Out << "assignment " << I + 1 << ":\n";
+    for (VarId V = 0; V != P.numVariables(); ++V) {
+      RenderedLanguage Text = renderLanguage(R.Assignments[I].language(V));
+      Out << "  " << P.variableName(V) << " = /" << Text.Regex
+          << "/  e.g. \"" << Text.Witness.value_or("<empty>") << "\"\n";
+    }
+  }
+  return Out.str();
+}
+
 void printUsage(std::ostream &Err) {
   std::string Ids = miniphp::PolicyRegistry::global().idList();
   Err << "usage:\n"
       << "  dprle solve [--first] [--jobs=N] [--no-decision-cache]\n"
+      << "              [--deadline-ms=D] [--max-memory-bytes=N]\n"
       << "              [--stats=<file.json>] [--trace=<file.json>] "
          "<file.rma | ->\n"
+      << "     exits 0 sat, 1 unsat, 2 on a usage or input error or when\n"
+      << "     the budget trips (`resource_exhausted: <dimension>`)\n"
       << "  dprle analyze [--attack=<policy>] [--all] [--no-taint-prune]\n"
       << "                [--no-decision-cache] [--stats=<file.json>]\n"
       << "                [--trace=<file.json>] <file.php | ->\n"
@@ -309,13 +329,22 @@ int dprle::tools::runSolve(const std::vector<std::string> &Args,
   ObservabilityOptions Obs;
   std::string Path;
   uint64_t Jobs = 1;
+  uint64_t DeadlineMs = 0;
+  ResourceLimits Limits;
   for (const std::string &Arg : Args) {
     if (Arg == "--first")
       Opts.MaxSolutions = 1;
     else if (Arg == "--no-decision-cache") {
-      // One switch turns off both machine memos (decide answers and
-      // minimize results): no cross-run memoization.
+      // One switch turns off every machine memo (decide answers, minimize
+      // results, renders): no cross-run memoization.
       DecisionCache::global().setEnabled(false);
+    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
+      if (!parseUnsignedOption(Arg, "--deadline-ms=", DeadlineMs, Err))
+        return 2;
+    } else if (Arg.rfind("--max-memory-bytes=", 0) == 0) {
+      if (!parseUnsignedOption(Arg, "--max-memory-bytes=",
+                               Limits.MaxMemoryBytes, Err))
+        return 2;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseUnsignedOption(Arg, "--jobs=", Jobs, Err) || Jobs == 0) {
         if (Jobs == 0)
@@ -341,12 +370,6 @@ int dprle::tools::runSolve(const std::vector<std::string> &Args,
   std::string Text;
   if (!readInput(Path, In, Text, Err))
     return 2;
-  ConstraintParseResult Parsed = parseConstraintText(Text);
-  if (!Parsed.Ok) {
-    Err << Path << ":" << Parsed.ErrorLine << ": error: " << Parsed.Error
-        << "\n";
-    return 2;
-  }
 
   // The pool outlives the solve; with --jobs=1 (the default) no pool is
   // created and the solve is the historical serial path.
@@ -358,48 +381,70 @@ int dprle::tools::runSolve(const std::vector<std::string> &Args,
     Opts.Exec = Pool.get();
   }
 
-  StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
-  Obs.beginTrace();
-  SolveResult R = Solver(Opts).solve(Parsed.Instance);
-  bool ArtifactsOk = Obs.finishTrace("solve", Path, Err);
-  if (!Obs.StatsPath.empty()) {
-    Json Doc = ObservabilityOptions::envelope("solve", Path);
-    Json Result = Json::object();
-    Result["satisfiable"] = R.Satisfiable;
-    Result["assignments"] = static_cast<uint64_t>(R.Assignments.size());
-    Result["exit_code"] = R.Satisfiable ? 0 : 1;
-    Doc["result"] = std::move(Result);
-    Json SolverSection = Json::object();
-    for (const auto &[Name, Value] : R.Stats.counters())
-      SolverSection[Name] = Value;
-    SolverSection["solve_seconds"] = R.Stats.SolveSeconds;
-    Doc["solver"] = std::move(SolverSection);
-    StatsRegistry::Snapshot After = StatsRegistry::global().snapshot();
-    Doc["automata"] = automataSection(Before, After);
-    Doc["decide"] = decideSection(Before, After);
-    ArtifactsOk =
-        ObservabilityOptions::writeJson(Obs.StatsPath, Doc, Err) && ArtifactsOk;
-  }
-  if (!ArtifactsOk)
+  // One budget governs the parse (whose & and ~ determinize), the solve
+  // and the render, as for a `dprle serve` request. A trip, or running
+  // out of memory outright, ends the run with one line and exit code 2.
+  ResourceBudget Budget(Limits);
+  if (DeadlineMs != 0)
+    Budget.armDeadlineAfterMs(DeadlineMs);
+  auto Exhausted = [&Err](BudgetDimension D) {
+    Err << "resource_exhausted: " << budgetDimensionName(D) << "\n";
     return 2;
-
-  if (!R.Satisfiable) {
-    Out << "unsat\n";
-    return 1;
-  }
-  const Problem &P = Parsed.Instance;
-  Out << "sat (" << R.Assignments.size() << " assignment"
-      << (R.Assignments.size() == 1 ? "" : "s") << ")\n";
-  for (size_t I = 0; I != R.Assignments.size(); ++I) {
-    Out << "assignment " << I + 1 << ":\n";
-    for (VarId V = 0; V != P.numVariables(); ++V) {
-      auto Witness = R.Assignments[I].witness(V);
-      Out << "  " << P.variableName(V) << " = /"
-          << R.Assignments[I].regexFor(V) << "/  e.g. \""
-          << (Witness ? *Witness : "<empty>") << "\"\n";
+  };
+  try {
+    ResourceGuard Guard(&Budget);
+    ConstraintParseResult Parsed = parseConstraintText(Text);
+    if (ResourceGuard::exhausted())
+      return Exhausted(Budget.dimension());
+    if (!Parsed.Ok) {
+      Err << Path << ":" << Parsed.ErrorLine << ": error: " << Parsed.Error
+          << "\n";
+      return 2;
     }
+
+    StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
+    Obs.beginTrace();
+    SolveResult R = Solver(Opts).solve(Parsed.Instance);
+    bool ArtifactsOk = Obs.finishTrace("solve", Path, Err);
+    if (R.Interrupted)
+      return Exhausted(Budget.dimension());
+    if (!Obs.StatsPath.empty()) {
+      Json Doc = ObservabilityOptions::envelope("solve", Path);
+      Json Result = Json::object();
+      Result["satisfiable"] = R.Satisfiable;
+      Result["assignments"] = static_cast<uint64_t>(R.Assignments.size());
+      Result["exit_code"] = R.Satisfiable ? 0 : 1;
+      Doc["result"] = std::move(Result);
+      Json SolverSection = Json::object();
+      for (const auto &[Name, Value] : R.Stats.counters())
+        SolverSection[Name] = Value;
+      SolverSection["solve_seconds"] = R.Stats.SolveSeconds;
+      Doc["solver"] = std::move(SolverSection);
+      StatsRegistry::Snapshot After = StatsRegistry::global().snapshot();
+      Doc["automata"] = automataSection(Before, After);
+      Doc["decide"] = decideSection(Before, After);
+      ArtifactsOk = ObservabilityOptions::writeJson(Obs.StatsPath, Doc, Err) &&
+                    ArtifactsOk;
+    }
+    if (!ArtifactsOk)
+      return 2;
+
+    if (!R.Satisfiable) {
+      Out << "unsat\n";
+      return 1;
+    }
+    // Rendered in full before anything is printed, so a trip leaves no
+    // partial answer on stdout.
+    std::string Answer = assignmentsText(Parsed.Instance, R);
+    if (ResourceGuard::exhausted())
+      return Exhausted(Budget.dimension());
+    Out << "sat (" << R.Assignments.size() << " assignment"
+        << (R.Assignments.size() == 1 ? "" : "s") << ")\n"
+        << Answer;
+    return 0;
+  } catch (const std::bad_alloc &) {
+    return Exhausted(BudgetDimension::Memory);
   }
-  return 0;
 }
 
 int dprle::tools::runAnalyze(const std::vector<std::string> &Args,
@@ -1339,15 +1384,7 @@ int dprle::tools::runRepl(const std::vector<std::string> &Args,
       }
       Out << "  [" << (Info.Incremental ? "warm" : "cold") << ", groups "
           << Info.GroupsReused << "/" << Info.GroupsTotal << " reused]\n";
-      for (size_t I = 0; I != R.Assignments.size(); ++I) {
-        Out << "assignment " << I + 1 << ":\n";
-        for (VarId V = 0; V != P.numVariables(); ++V) {
-          auto Witness = R.Assignments[I].witness(V);
-          Out << "  " << P.variableName(V) << " = /"
-              << R.Assignments[I].regexFor(V) << "/  e.g. \""
-              << (Witness ? *Witness : "<empty>") << "\"\n";
-        }
-      }
+      Out << assignmentsText(P, R);
     } else {
       std::string Error;
       size_t ErrLine = 0;
