@@ -562,7 +562,7 @@ int main() {
 
   // Sharded scenario: the batch through a --shards=4 router fleet.
   // Gates: verdicts bit-identical to single-process serve, and the
-  // structural-affinity routing keeps shard caches at least as hot as one
+  // content-affinity routing keeps shard caches at least as hot as one
   // shared in-process cache (decide batch hit-rate comparison).
   bool ShardedOk = true;
   bool AffinityOk = true;

@@ -123,7 +123,7 @@ std::string fingerprint(const SolveResult &R) {
   for (const Assignment &A : R.Assignments)
     for (VarId V = 0; V != A.numVariables(); ++V) {
       std::optional<std::string> W = A.witness(V);
-      Os << V << " lang=" << structuralEncoding(A.language(V))
+      Os << V << " lang=" << A.language(V).identity().encoding()
          << " witness=" << (W ? *W : std::string("<empty>")) << "\n";
     }
   return Os.str();

@@ -462,12 +462,6 @@ DecisionCache &DecisionCache::global() {
   return Cache;
 }
 
-std::string dprle::structuralEncoding(const Nfa &M) {
-  return M.identity().encoding();
-}
-
-uint64_t dprle::structuralHash(const Nfa &M) { return M.identity().hash(); }
-
 void DecisionCache::setEnabled(bool E) {
   assert(!parallelRegionActive() &&
          "DecisionCache::setEnabled while a parallel region is active");

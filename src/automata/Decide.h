@@ -161,19 +161,6 @@ private:
   std::atomic<bool> Enabled{true};
 };
 
-/// M.identity().hash(): FNV-1a over the marker-free encoding, so two
-/// machines hash equal when they share memo entries. Stable across
-/// processes (unlike std::hash) — the shard router (service/Router.h) uses
-/// it to pin structurally identical queries to the same worker, keeping
-/// that worker's caches hot.
-uint64_t structuralHash(const Nfa &M);
-
-/// M.identity().encoding(): the injective marker-free structural encoding
-/// (states, start, acceptance, transitions in storage order; epsilon
-/// markers excluded). Two machines encode equal iff every memo table
-/// treats them as the same machine.
-std::string structuralEncoding(const Nfa &M);
-
 /// True iff L(Lhs) ∩ L(Rhs) = ∅. Never materializes the product machine.
 bool emptyIntersection(const Nfa &Lhs, const Nfa &Rhs);
 

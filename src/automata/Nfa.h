@@ -72,8 +72,8 @@ struct EpsilonInstance {
 /// structural encoding (state count, start, acceptance, and every
 /// transition in storage order; epsilon markers excluded, since they carry
 /// solver bookkeeping, not language) and the encoding's FNV-1a hash.
-/// Every memo table keys machines by it (automata/MemoTable.h), and the
-/// shard router pins requests by its hash. Two identities are equal iff
+/// Every memo table keys machines by it (automata/MemoTable.h). Two
+/// identities are equal iff
 /// their encodings are; comparing two copies of one handle is a pointer
 /// compare.
 class MachineIdentity {

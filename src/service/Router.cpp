@@ -1,10 +1,7 @@
-//===- Router.cpp - Structural shard router -----------------------------------//
+//===- Router.cpp - Content shard router --------------------------------------//
 
 #include "service/Router.h"
 
-#include "automata/Decide.h"
-#include "automata/Serialize.h"
-#include "solver/ConstraintParser.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
@@ -33,68 +30,36 @@ struct RegisterRouterStats {
 };
 RegisterRouterStats RegisterRouterStatsInit;
 
-uint64_t fnvMix(uint64_t H, uint64_t V) {
-  for (unsigned I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-/// The structural fingerprint that pins a request to its shard. decide
-/// combines the operands' identity hashes (structuralHash; the rotate
-/// keeps (A, B) and (B, A) apart); solve folds the hash of every
-/// constant machine of the parsed constraint system. nullopt when the
-/// params do not parse — the request then routes by raw text and the
-/// worker stays authoritative for the error.
-std::optional<uint64_t> structuralRequestHash(const Request &R) {
-  if (R.Method == "decide") {
-    const Json *L = R.Params.find("lhs");
-    if (!L || !L->isString())
-      return std::nullopt;
-    NfaParseResult PL = parseNfa(L->asString());
-    if (!PL.ok())
-      return std::nullopt;
-    uint64_t H = structuralHash(*PL.Machine);
-    if (const Json *Rv = R.Params.find("rhs")) {
-      if (!Rv->isString())
-        return std::nullopt;
-      NfaParseResult PR = parseNfa(Rv->asString());
-      if (!PR.ok())
-        return std::nullopt;
-      uint64_t HR = structuralHash(*PR.Machine);
-      H ^= (HR << 17) | (HR >> 47);
+/// The hash that pins a request to its shard: the request text its
+/// answer depends on, so a repeated query lands on the worker whose
+/// caches it warmed. solve hashes its constraints; decide its operands
+/// (the rotate keeps (A, B) and (B, A) apart); session verbs their id,
+/// since a session's state lives in exactly one worker. Anything else,
+/// or a param that is not a string, hashes the raw line. Nothing here
+/// parses a constraint or a machine: the worker alone decides whether
+/// the request is well formed.
+uint64_t routingHash(const std::string &Line, const Request *R) {
+  if (!R)
+    return fnv1a(Line);
+  auto StringParam = [&](const char *Name) -> const std::string * {
+    const Json *V = R->Params.find(Name);
+    return V && V->isString() ? &V->asString() : nullptr;
+  };
+  if (R->Method == "solve") {
+    if (const std::string *Constraints = StringParam("constraints"))
+      return fnv1a(*Constraints);
+  } else if (R->Method == "decide") {
+    // Unary queries carry no rhs.
+    const std::string *Lhs = StringParam("lhs"), *Rhs = StringParam("rhs");
+    if (Lhs && (Rhs || !R->Params.find("rhs"))) {
+      uint64_t HR = Rhs ? fnv1a(*Rhs) : 0;
+      return fnv1a(*Lhs) ^ ((HR << 17) | (HR >> 47));
     }
-    return H;
+  } else if (R->Method.rfind("session_", 0) == 0) {
+    if (const std::string *Sid = StringParam("session"))
+      return fnv1a("session:" + *Sid);
   }
-  if (R.Method.rfind("session_", 0) == 0) {
-    // Session verbs pin to one shard by session id — the session's state
-    // lives in exactly one worker process. A session_open without a
-    // client-chosen id has nothing to pin by (the id would be generated
-    // inside whichever worker receives it), so sharded deployments must
-    // supply "session" explicitly (docs/SESSIONS.md).
-    const Json *Sid = R.Params.find("session");
-    if (!Sid || !Sid->isString())
-      return std::nullopt;
-    return fnv1a("session:" + Sid->asString());
-  }
-  if (R.Method == "solve") {
-    const Json *Text = R.Params.find("constraints");
-    if (!Text || !Text->isString())
-      return std::nullopt;
-    ConstraintParseResult Parsed = parseConstraintText(Text->asString());
-    if (!Parsed.Ok)
-      return std::nullopt;
-    uint64_t H = 14695981039346656037ull;
-    for (const Constraint &C : Parsed.Instance.constraints()) {
-      for (const Term &T : C.Lhs)
-        if (!T.isVariable())
-          H = fnvMix(H, structuralHash(T.Language));
-      H = fnvMix(H, structuralHash(C.Rhs));
-    }
-    return H;
-  }
-  return std::nullopt;
+  return fnv1a(Line);
 }
 
 } // namespace
@@ -175,14 +140,8 @@ Json Router::shedError(const Json &Id, const std::string &Message) const {
 
 unsigned Router::shardFor(const std::string &Line) const {
   RequestParse P = parseRequest(Line);
-  uint64_t H;
-  if (P.ok()) {
-    std::optional<uint64_t> SH = structuralRequestHash(*P.Req);
-    H = SH ? *SH : fnv1a(Line);
-  } else {
-    H = fnv1a(Line);
-  }
-  return static_cast<unsigned>(H % Opts.Shards);
+  return static_cast<unsigned>(routingHash(Line, P.Req ? &*P.Req : nullptr) %
+                               Opts.Shards);
 }
 
 LineHandler::Submit Router::submitLine(const std::string &Line,
@@ -204,11 +163,22 @@ LineHandler::Submit Router::submitLine(const std::string &Line,
       R.Method == "shutdown")
     return fanOut(R, std::move(Respond));
 
-  // solve / decide / unknown methods forward to one worker; the worker
-  // is authoritative for unknown-method and invalid-params errors.
-  std::optional<uint64_t> SH = structuralRequestHash(R);
+  // A worker coins session ids from its own counter, so two workers
+  // would hand out the same one; behind a router the client must choose.
+  if (R.Method == "session_open") {
+    const Json *Sid = R.Params.find("session");
+    if (!Sid || !Sid->isString() || Sid->asString().empty()) {
+      Respond(makeError(R.Id, ErrorCode::InvalidParams,
+                        "\"session\" is required behind a sharded router: "
+                        "choose a non-empty session id string"));
+      return Submit::Accepted;
+    }
+  }
+
+  // solve / decide / session / unknown methods forward to one worker; the
+  // worker is authoritative for unknown-method and invalid-params errors.
   unsigned Shard =
-      static_cast<unsigned>((SH ? *SH : fnv1a(Line)) % Opts.Shards);
+      static_cast<unsigned>(routingHash(Line, &R) % Opts.Shards);
   Pending P2;
   P2.OriginalId = R.Id;
   P2.Respond = std::move(Respond);

@@ -1,4 +1,4 @@
-//===- Router.h - Structural shard router -----------------------*- C++ -*-==//
+//===- Router.h - Content shard router --------------------------*- C++ -*-==//
 ///
 /// \file
 /// The multi-process scale-out path of `dprle serve --shards=N`
@@ -7,15 +7,18 @@
 /// The front ends — stdio loop and socket Listener — are unchanged; they
 /// feed a Router exactly as they would a SolverService.
 ///
-/// Routing is *structural*: a decide request is hashed by its operands'
-/// identity hashes (structuralHash, Decide.h: the hash of the same
-/// marker-free identity the DecisionCache keys by), and a solve request
-/// by the fold of its constraint machines' hashes. Structurally identical
-/// queries therefore always land on the same worker, whose in-process
-/// decision cache stays hot — the whole point of sharding by content
-/// rather than round-robin.
-/// Requests whose params do not parse route by a raw-text hash to an
-/// arbitrary worker, which stays authoritative for the error response.
+/// Routing is by content, read from the request text: a solve is hashed
+/// by its `constraints` string and a decide by its `lhs` and `rhs`
+/// strings, so a repeated query always lands on the worker whose
+/// decision, minimize and render caches it already warmed — the point of
+/// sharding by content rather than round-robin. Session verbs hash their
+/// session id instead: a session lives in exactly one worker, so the
+/// router itself answers a session_open without an id `invalid_params`
+/// (each worker coins ids from its own counter). The router
+/// compiles nothing: it parses the JSON envelope and hashes, and the
+/// worker stays authoritative for every constraint, machine and params
+/// error. A request whose routed params are missing or not strings
+/// routes by a hash of its raw line.
 ///
 /// Wire mechanics: the router rewrites each request's id to a private
 /// sequence number before forwarding (client ids are free-form and can
@@ -151,7 +154,7 @@ public:
   void stop();
 
   /// The shard \p Line would route to — exposed so tests can assert
-  /// structural affinity without a process fleet.
+  /// content affinity without a process fleet.
   unsigned shardFor(const std::string &Line) const;
 
   /// The worker process behind \p Shard (test hook: kill it to exercise

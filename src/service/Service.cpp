@@ -250,13 +250,26 @@ void SolverService::recoverFromJournal() {
   // Re-run the op trajectory. Solving is deterministic, so the rebuilt
   // sessions answer bit-identically to an uninterrupted run — only the
   // warm caches are cold. A record that no longer applies (parse drift,
-  // pop of an empty stack) drops its whole session: clients get an
-  // honest session_lost, never a half-applied state.
+  // pop of an empty stack, a parse that trips its budget) drops its whole
+  // session: clients get an honest session_lost, never a half-applied
+  // state.
   std::set<std::string> Failed;
   auto failSession = [&](const std::string &Id) {
     Sessions.erase(Id);
     Failed.insert(Id);
     ++RecoveryStats::global().FailedSessions;
+  };
+  // Each replayed open and push parses under the budget a live verb
+  // without params gets: the server caps and the default deadline.
+  const Request NoParams;
+  auto underLiveBudget = [&](auto Apply) {
+    ResourceBudget Budget;
+    Json Unused;
+    applyRequestLimits(Opts, NoParams, Budget, Unused);
+    if (Opts.DefaultDeadlineMs != 0)
+      Budget.armDeadlineAfterMs(Opts.DefaultDeadlineMs);
+    ResourceGuard Guard(&Budget);
+    return Apply();
   };
   for (const JournalRecord &Rec : Records) {
     if (Failed.count(Rec.Session))
@@ -265,8 +278,9 @@ void SolverService::recoverFromJournal() {
       auto Entry = std::make_shared<SessionEntry>();
       Entry->S =
           std::make_unique<SolverSession>(solverOptions(Rec.MaxSolutions));
-      if (!Rec.Constraints.empty() &&
-          !Entry->S->assertText(Rec.Constraints)) {
+      if (!Rec.Constraints.empty() && !underLiveBudget([&] {
+            return Entry->S->assertText(Rec.Constraints);
+          })) {
         failSession(Rec.Session);
         continue;
       }
@@ -277,7 +291,9 @@ void SolverService::recoverFromJournal() {
       Sessions[Rec.Session] = std::move(Entry);
     } else if (Rec.Op == "push") {
       auto It = Sessions.find(Rec.Session);
-      if (It == Sessions.end() || !It->second->S->push(Rec.Constraints)) {
+      if (It == Sessions.end() || !underLiveBudget([&] {
+            return It->second->S->push(Rec.Constraints);
+          })) {
         failSession(Rec.Session);
         continue;
       }

@@ -390,7 +390,7 @@ if (preg_match('/^(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)$/', 
   for (size_t I = 0; I != SameX.size(); ++I) {
     EXPECT_FALSE(SameX[I].accepts(ThenInput));
     EXPECT_EQ(SameX[I].numStates(), FreshX[I].numStates());
-    EXPECT_EQ(structuralHash(SameX[I]), structuralHash(FreshX[I]));
+    EXPECT_EQ(SameX[I].identity().hash(), FreshX[I].identity().hash());
   }
 }
 
@@ -505,7 +505,7 @@ TEST(BudgetTest, ParallelCanonicalizationTripReportsExhaustedAndCachesNothing) {
     setMinimizeCacheEnabled(false);
     Nfa Fresh = minimized(C.Rhs);
     setMinimizeCacheEnabled(true);
-    EXPECT_EQ(structuralEncoding(Cached), structuralEncoding(Fresh));
+    EXPECT_EQ(Cached.identity().encoding(), Fresh.identity().encoding());
   }
 }
 
@@ -550,8 +550,8 @@ TEST(BudgetTest, ParallelSessionRebuildTripReportsExhaustedAndCachesNothing) {
   ASSERT_EQ(Next.Assignments.size(), Cold.Assignments.size());
   for (size_t A = 0; A != Cold.Assignments.size(); ++A)
     for (VarId V = 0; V != S.problem().numVariables(); ++V)
-      EXPECT_EQ(structuralEncoding(Next.Assignments[A].language(V)),
-                structuralEncoding(Cold.Assignments[A].language(V)))
+      EXPECT_EQ(Next.Assignments[A].language(V).identity().encoding(),
+                Cold.Assignments[A].language(V).identity().encoding())
           << "assignment " << A << ", variable " << V;
 }
 

@@ -2,10 +2,10 @@
 //
 // Covers Nfa::identity() (automata/Nfa.h) — one content identity per
 // machine and mutation epoch, shared by copies, insensitive to epsilon
-// markers, and hashing exactly as structuralHash always has (the shard
-// router's choice depends on it) — and MemoTable (automata/MemoTable.h):
-// collisions, both overflow bounds, the exhausted-budget insert rule, and
-// the decision cache under concurrent flushes.
+// markers, and hashing to pinned golden values — and MemoTable
+// (automata/MemoTable.h): collisions, both overflow bounds, the
+// exhausted-budget insert rule, and the decision cache under concurrent
+// flushes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,8 +75,8 @@ TEST(MachineIdentityTest, MarkerTwinsHaveEqualIdentities) {
   EXPECT_TRUE(Marked.identity() == Plain.identity());
   EXPECT_TRUE(Marked.identity() == Remarked.identity());
   EXPECT_FALSE(Marked.identity().sameHandle(Plain.identity()));
-  EXPECT_EQ(structuralHash(Marked), structuralHash(Plain));
-  EXPECT_EQ(structuralEncoding(Marked), structuralEncoding(Remarked));
+  EXPECT_EQ(Marked.identity().hash(), Plain.identity().hash());
+  EXPECT_EQ(Marked.identity().encoding(), Remarked.identity().encoding());
   // A language-equal machine of different shape is a different identity.
   EXPECT_FALSE(Marked.identity() == minimized(Marked).identity());
 }
@@ -107,8 +107,8 @@ TEST(MachineIdentityTest, StructuralHashesMatchRecordedGoldens) {
        2263952179652518397ull, 833},
   };
   for (const Golden &G : Goldens) {
-    EXPECT_EQ(structuralHash(G.Machine), G.Hash) << G.Name;
-    EXPECT_EQ(structuralEncoding(G.Machine).size(), G.EncodingBytes)
+    EXPECT_EQ(G.Machine.identity().hash(), G.Hash) << G.Name;
+    EXPECT_EQ(G.Machine.identity().encoding().size(), G.EncodingBytes)
         << G.Name;
   }
 }

@@ -403,6 +403,34 @@ TEST(RecoveryTest, RecoveredServiceCoinsFreshIdsPastReplayedOnes) {
   EXPECT_NE(resultOf(verb(Reborn, "session_check", Coined)), nullptr);
 }
 
+TEST(RecoveryTest, ReplayRunsUnderTheLiveBudgetAndFailsATrippedSession) {
+  // A journaled push whose `~` determinizes ~2^19 states: replay parses
+  // it under the server caps a live push would get, trips, and fails that
+  // session instead of rebuilding it without bound.
+  TempDir Tmp;
+  ServiceOptions Opts;
+  Opts.JournalPath = Tmp.file("svc.journal");
+  Opts.MaxStatesBudget = 20000;
+  {
+    Journal::Options JO;
+    JO.Path = Opts.JournalPath;
+    Journal J(JO);
+    std::string Err;
+    ASSERT_TRUE(J.open(&Err)) << Err;
+    ASSERT_TRUE(J.append({"open", "hostile", "var x; x <= /c/;", 0}));
+    ASSERT_TRUE(
+        J.append({"push", "hostile", "x <= /~((a|b)*a(a|b){18})/;", 0}));
+    ASSERT_TRUE(J.append({"open", "plain", "var v; v <= /a*/;", 0}));
+  }
+  uint64_t FailedBefore = counterValue("recovery.failed_sessions");
+  SolverService Reborn(Opts);
+  EXPECT_EQ(counterValue("recovery.failed_sessions"), FailedBefore + 1);
+  EXPECT_EQ(errorCodeOf(verb(Reborn, "session_check", "hostile")),
+            "session_lost");
+  // The budget leaves a session that fits it alone.
+  EXPECT_NE(resultOf(verb(Reborn, "session_check", "plain")), nullptr);
+}
+
 TEST(RecoveryTest, JournalingOffKeepsSessionLostSemantics) {
   // No JournalPath: a restart loses every session, exactly as before.
   ServiceOptions Opts;

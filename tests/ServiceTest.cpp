@@ -1804,7 +1804,7 @@ TEST(ListenerTest, ShutdownRequestOverSocketStopsRunAndUnlinksPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Router: structural sharding
+// Router: content sharding
 //===----------------------------------------------------------------------===//
 
 std::string decideLine(const Json &Id, const std::string &Lhs,
@@ -2037,6 +2037,58 @@ TEST(RouterTest, SessionVerbsPinToOneShardBySessionId) {
   for (const char *Sid : {"a", "b", "c", "d", "e", "f", "g", "h"})
     Used.insert(R.shardFor(sessionVerbLine("session_check", Sid)));
   EXPECT_GE(Used.size(), 2u);
+}
+
+TEST(RouterTest, RoutingCompilesNothingAndReadsOnlyTheConstraintText) {
+  // shardFor is pure; no worker fleet needed.
+  RouterOptions ROpts;
+  ROpts.Shards = 4;
+  Router R(ROpts);
+
+  // A `~` whose compile determinizes ~2^13 states: routing it must move
+  // no automata counter — the worker alone compiles.
+  const std::string Hostile = "var x; x <= /~((a|b)*a(a|b){12})/;";
+  StatsRegistry::Snapshot Before = StatsRegistry::global().snapshot();
+  unsigned Home = R.shardFor(solveLine("h", Hostile));
+  for (const auto &[Name, Delta] : StatsRegistry::delta(
+           Before, StatsRegistry::global().snapshot()))
+    EXPECT_TRUE(Name.rfind("automata.", 0) != 0 || Delta == 0)
+        << Name << " moved by " << Delta;
+
+  // The constraints string alone picks the shard: id, retry, deadline_ms
+  // and max_solutions do not.
+  std::optional<Json> Variant = Json::parse(solveLine("h", Hostile));
+  ASSERT_TRUE(Variant.has_value());
+  (*Variant)["id"] = 77;
+  (*Variant)["params"]["retry"] = 3;
+  (*Variant)["params"]["deadline_ms"] = 300;
+  (*Variant)["params"]["max_solutions"] = 2;
+  EXPECT_EQ(R.shardFor(Variant->dump(0)), Home);
+}
+
+TEST(RouterTest, IdlessSessionOpenIsAnsweredByTheRouter) {
+  // No start(): the router answers before any worker is involved. Each
+  // worker coins ids from its own counter, so an id-less open behind a
+  // router would hand two clients the same session id.
+  RouterOptions ROpts;
+  ROpts.Shards = 2;
+  Router R(ROpts);
+  uint64_t ForwardedBefore = counterValue("service.router_forwarded");
+  for (const char *Line :
+       {"{\"id\": 1, \"method\": \"session_open\"}",
+        "{\"id\": 2, \"method\": \"session_open\", \"params\": "
+        "{\"constraints\": \"var v; v <= /a/;\"}}",
+        "{\"id\": 3, \"method\": \"session_open\", \"params\": "
+        "{\"session\": \"\"}}",
+        "{\"id\": 4, \"method\": \"session_open\", \"params\": "
+        "{\"session\": 7}}"}) {
+    std::optional<Json> Answer;
+    EXPECT_EQ(R.submitLine(Line, [&](const Json &Resp) { Answer = Resp; }),
+              LineHandler::Submit::Accepted);
+    ASSERT_TRUE(Answer.has_value()) << Line;
+    EXPECT_EQ(errorCodeOf(*Answer), "invalid_params") << Line;
+  }
+  EXPECT_EQ(counterValue("service.router_forwarded"), ForwardedBefore);
 }
 
 /// Submits one line and blocks for its response.

@@ -76,7 +76,7 @@ std::string fingerprint(const SolveResult &R) {
   for (const Assignment &A : R.Assignments) {
     for (VarId V = 0; V != A.numVariables(); ++V) {
       std::optional<std::string> W = A.witness(V);
-      Os << V << " lang=" << structuralEncoding(A.language(V))
+      Os << V << " lang=" << A.language(V).identity().encoding()
          << " witness=" << (W ? *W : std::string("<empty>")) << "\n";
     }
   }
@@ -615,8 +615,8 @@ void expectSameGraph(const DependencyGraph &A, const DependencyGraph &B,
     EXPECT_EQ(A.kind(N), B.kind(N)) << "node " << N;
     EXPECT_EQ(A.name(N), B.name(N)) << "node " << N;
     if (A.kind(N) == NodeKind::Constant) {
-      EXPECT_EQ(structuralEncoding(A.constantLanguage(N)),
-                structuralEncoding(B.constantLanguage(N)))
+      EXPECT_EQ(A.constantLanguage(N).identity().encoding(),
+                B.constantLanguage(N).identity().encoding())
           << "node " << N;
     }
   }
@@ -700,19 +700,19 @@ TEST(SessionTest, MinimizedIsMemoizedByStructuralEncoding) {
 
   Nfa Second = minimized(M);
   EXPECT_EQ(Stats.Hits.get(), Hits0 + 1);
-  EXPECT_EQ(structuralEncoding(Second), structuralEncoding(First));
+  EXPECT_EQ(Second.identity().encoding(), First.identity().encoding());
 
   // A structurally identical but separately constructed machine hits too:
   // the key is content, not identity.
   Nfa Twin = regexLanguage("(a|b)*abb");
   Nfa Third = minimized(Twin);
   EXPECT_EQ(Stats.Hits.get(), Hits0 + 2);
-  EXPECT_EQ(structuralEncoding(Third), structuralEncoding(First));
+  EXPECT_EQ(Third.identity().encoding(), First.identity().encoding());
 
   // Disabling the cache bypasses memoization but not correctness.
   setMinimizeCacheEnabled(false);
   Nfa Bypassed = minimized(M);
-  EXPECT_EQ(structuralEncoding(Bypassed), structuralEncoding(First));
+  EXPECT_EQ(Bypassed.identity().encoding(), First.identity().encoding());
   EXPECT_EQ(Stats.Hits.get(), Hits0 + 2);
   setMinimizeCacheEnabled(true);
 }
