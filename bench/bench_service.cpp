@@ -37,6 +37,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -96,6 +97,23 @@ std::string solveRequestLine(const std::string &Id,
   return Req.dump(0);
 }
 
+/// The constraint text of \p Instance with every variable renamed to an
+/// identifier the constraint grammar accepts (docs/CONSTRAINTS.md): the
+/// symbolic executor names inputs "_POST:id", and ':' is not an identifier
+/// character. The index prefix keeps the renamed variables distinct.
+std::string requestConstraints(const Problem &Instance) {
+  Problem Renamed;
+  for (VarId V = 0; V != Instance.numVariables(); ++V) {
+    std::string Name = "v" + std::to_string(V) + "_";
+    for (char C : Instance.variableName(V))
+      Name += std::isalnum(static_cast<unsigned char>(C)) ? C : '_';
+    Renamed.addVariable(std::move(Name));
+  }
+  for (const Constraint &C : Instance.constraints())
+    Renamed.addConstraint(C.Lhs, C.Rhs, C.RhsName);
+  return Renamed.str();
+}
+
 /// Figure 11 corpus -> one solve request per (capped) sink path.
 std::vector<PreparedRequest> buildBatch(size_t &PathsDropped) {
   std::vector<PreparedRequest> Out;
@@ -118,7 +136,7 @@ std::vector<PreparedRequest> buildBatch(size_t &PathsDropped) {
       for (size_t I = 0; I != Take; ++I) {
         std::string Id =
             S.Name + "/" + F.Name + "#" + std::to_string(I);
-        std::string Constraints = Paths[I].Instance.str();
+        std::string Constraints = requestConstraints(Paths[I].Instance);
         Out.push_back({Id, solveRequestLine(Id, Constraints), Constraints});
       }
     }
@@ -455,10 +473,22 @@ int main() {
     Outcomes[Jobs] = std::move(O);
   }
 
-  // Correctness gate: jobs=4 answers must match serial exactly.
+  // Correctness gates: every corpus request is well-formed and answered
+  // `ok` (an error answer would make the equality gates below compare
+  // errors with themselves), and jobs=4 answers match serial exactly.
+  size_t Errors = 0;
+  for (const auto &[Id, Verdict] : Outcomes[1].Verdicts)
+    if (Verdict.rfind("error:", 0) == 0 ||
+        Verdict.rfind("malformed:", 0) == 0) {
+      ++Errors;
+      std::fprintf(stderr, "%s answered %s\n", Id.c_str(), Verdict.c_str());
+    }
+  bool AllOk = Errors == 0 && Outcomes[1].Verdicts.size() == Batch.size();
+  std::printf("\nserial run: %zu of %zu requests answered an error — %s\n",
+              Errors, Batch.size(), AllOk ? "PASS" : "FAIL");
   bool VerdictsMatch = Outcomes[4].Verdicts == Outcomes[1].Verdicts &&
                        Outcomes[1].Verdicts.size() == Batch.size();
-  std::printf("\njobs=4 verdicts %s the serial run (%zu/%zu answered)\n",
+  std::printf("jobs=4 verdicts %s the serial run (%zu/%zu answered)\n",
               VerdictsMatch ? "MATCH" : "DO NOT MATCH",
               Outcomes[4].Verdicts.size(), Batch.size());
 
@@ -479,7 +509,9 @@ int main() {
                 Speedup, Cores, Cores == 1 ? "" : "s");
   }
   benchjson::BenchRun &Gate = Report.addRun("gates");
-  Gate.Counters = {{"verdicts_match", VerdictsMatch ? 1.0 : 0.0},
+  Gate.Counters = {{"all_requests_ok", AllOk ? 1.0 : 0.0},
+                   {"request_errors", double(Errors)},
+                   {"verdicts_match", VerdictsMatch ? 1.0 : 0.0},
                    {"speedup_jobs4", Speedup},
                    {"hardware_threads", double(Cores)},
                    {"scaling_gate_enforced", Cores >= 4 ? 1.0 : 0.0},
@@ -642,8 +674,8 @@ int main() {
   }
 
   Report.write();
-  return VerdictsMatch && ScalingOk && ChaosOk && SocketOk && ShardedOk &&
-                 AffinityOk
+  return AllOk && VerdictsMatch && ScalingOk && ChaosOk && SocketOk &&
+                 ShardedOk && AffinityOk
              ? 0
              : 1;
 }

@@ -46,13 +46,9 @@ struct AnalysisOptions {
   }
 };
 
-/// The report for one analyzed source file.
-struct AnalysisResult {
-  bool ParseOk = false;
-  std::string ParseError;
-
-  /// |FG|: basic blocks in the file's CFG.
-  unsigned NumBlocks = 0;
+/// One attack spec's verdict on one source file: the part of a report
+/// that analyzeSource and each auditSource finding share.
+struct SpecFinding {
   /// Sinks matching the attack spec in the (unrolled) CFG. Zero means
   /// the file has nothing to audit — a different claim than "audited
   /// and found safe" (see noSinks()).
@@ -83,41 +79,34 @@ struct AnalysisResult {
   std::set<unsigned> SliceLines;
 
   bool vulnerable() const { return VulnerablePaths > 0; }
+  bool noSinks() const { return SinksFound == 0; }
+};
+
+/// The report for one analyzed source file.
+struct AnalysisResult : SpecFinding {
+  bool ParseOk = false;
+  std::string ParseError;
+
+  /// |FG|: basic blocks in the file's CFG.
+  unsigned NumBlocks = 0;
+
   /// True when the file parsed but contains no sink to audit; "not
   /// vulnerable" would overstate what was checked.
   bool noSinks() const { return ParseOk && SinksFound == 0; }
 };
 
-/// Runs the full pipeline on \p Source.
+/// Runs the full pipeline on \p Source: auditSource with one spec.
 AnalysisResult analyzeSource(const std::string &Source,
                              const AttackSpec &Attack,
                              const AnalysisOptions &Opts = {});
 
-/// One policy's verdict within an audit: the per-policy slice of an
-/// AnalysisResult (parse state and CFG size are file-level and live on
-/// AuditResult).
-struct PolicyFinding {
+/// One policy's verdict within an audit (parse state and CFG size are
+/// file-level and live on AuditResult).
+struct PolicyFinding : SpecFinding {
   /// Policy::Id of the audited policy ("sqli", "xss", ...).
   std::string PolicyId;
   /// Policy::Summary, for reports.
   std::string Summary;
-
-  unsigned SinksFound = 0;
-  unsigned SinksProvenSafe = 0;
-  unsigned SinkPaths = 0;
-  unsigned VulnerablePaths = 0;
-
-  /// Statistics for the policy's first vulnerable path (mirrors
-  /// AnalysisResult).
-  unsigned NumConstraints = 0;
-  double SolveSeconds = 0.0;
-  unsigned SinkLine = 0;
-  SolverStats Stats;
-  std::map<std::string, std::string> ExploitInputs;
-  std::set<unsigned> SliceLines;
-
-  bool vulnerable() const { return VulnerablePaths > 0; }
-  bool noSinks() const { return SinksFound == 0; }
 };
 
 /// The report of one multi-policy audit of one source file.
@@ -137,9 +126,10 @@ struct AuditResult {
 /// Audits \p Source against every policy in \p Policies over ONE parse,
 /// one CFG, one taint/slice pre-pass, and one symbolic-execution walk
 /// (runSymExecAll); only the per-sink constraint solving fans out per
-/// policy, sharing the process-wide DecisionCache. Findings[i] carries
-/// verdicts identical to analyzeSource(Source, Policies[i]->Attack,
-/// Opts) — see runSymExecAll for the one variable-set caveat.
+/// policy, sharing the process-wide DecisionCache. analyzeSource is this
+/// pipeline with one spec, so Findings[i] carries verdicts identical to
+/// analyzeSource(Source, Policies[i]->Attack, Opts) — see runSymExecAll
+/// for the one variable-set caveat.
 AuditResult auditSource(const std::string &Source,
                         const std::vector<const Policy *> &Policies,
                         const AnalysisOptions &Opts = {});

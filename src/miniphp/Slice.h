@@ -80,7 +80,8 @@ struct AuditSliceResult {
 };
 
 /// Slices every taint result of a shared multi-policy pass
-/// (analyzeTaintAll) over \p G, building the CFG predecessor lists once.
+/// (analyzeTaintAll) over \p G: one computeSlices call per policy (each
+/// builds its own CFG predecessor lists), plus the cross-policy unions.
 AuditSliceResult computeAuditSlices(const Cfg &G,
                                     const std::vector<TaintResult> &Taints);
 

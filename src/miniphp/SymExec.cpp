@@ -66,7 +66,7 @@ struct PathState {
   Problem Instance;
   std::map<std::string, VarId> InputVariables;
   std::vector<ConditionRecord> Conditions;
-  /// MultiExplorer only: bit i set = spec i still audits this path.
+  /// Bit i set = spec i still audits this path.
   uint64_t ActiveMask = 0;
 };
 
@@ -332,152 +332,13 @@ PathCondition buildSinkPath(const Stmt *S, const SymValue &Query,
   return PC;
 }
 
-class Explorer {
-public:
-  Explorer(const Program &P, const Cfg &G, const AttackSpec &Attack,
-           const SymExecOptions &Opts)
-      : G(G), Attack(Attack), Opts(Opts) {
-    (void)P;
-  }
-
-  /// Arms taint-based pruning. \p Taint and \p Slices must outlive the
-  /// explorer and both be Ok.
-  void enablePruning(const TaintResult &Taint, const SliceResult &Slices) {
-    assert(Taint.Ok && Slices.Ok && "pruning needs usable facts");
-    PruneSlices = &Slices;
-    for (const SinkFact &Fact : Taint.Sinks)
-      if (Fact.ProvenSafe)
-        SafeSinks.insert(Fact.Sink);
-  }
-
-  std::vector<PathCondition> run() {
-    PathState Init;
-    Init.Block = G.entry();
-    explore(std::move(Init));
-    return std::move(Results);
-  }
-
-  /// True when the budget tripped and the enumeration was truncated.
-  bool interrupted() const { return Interrupted; }
-
-private:
-  void explore(PathState State) {
-    if (Results.size() >= Opts.MaxPaths)
-      return;
-    if (ResourceGuard::exhausted()) {
-      // Cooperative unwind: stop enumerating, keep the paths built so far.
-      Interrupted = true;
-      return;
-    }
-    if (PruneSlices && !PruneSlices->ReachesLiveSink[State.Block]) {
-      // No live (not proven-safe) sink is reachable from here: every
-      // suffix path either ends sink-free or at a sink whose constraint
-      // system is unsatisfiable by construction.
-      ++TaintStats::global().BlocksPruned;
-      return;
-    }
-    const BasicBlock &Block = G.block(State.Block);
-    for (size_t I = State.StmtIndex; I != Block.Stmts.size(); ++I) {
-      const Stmt *S = Block.Stmts[I];
-      switch (S->StmtKind) {
-      case Stmt::Kind::Assign: {
-        if (PruneSlices && !PruneSlices->RelevantVars.count(S->Target)) {
-          // The target is outside every live sink's slice: its value can
-          // reach neither a live sink expression nor a branch condition
-          // guarding one, so the binding is unobservable.
-          ++TaintStats::global().AssignsSkipped;
-          break;
-        }
-        SymValue V = evalExpr(S->Value, State);
-        V.Lines.insert(S->Line);
-        State.Env[S->Target] = std::move(V);
-        break;
-      }
-      case Stmt::Kind::Sink: {
-        if (!Attack.appliesTo(S->Callee))
-          break; // Not a sink for this audit.
-        if (SafeSinks.count(S)) {
-          // Proven safe by the taint pre-pass: the baseline would emit
-          // this path and solve it to unsat. Mirror its path shape — a
-          // first sink still ends the path under StopAtFirstSink — but
-          // skip the instance and the solve.
-          ++TaintStats::global().SinkPathsPruned;
-          if (Opts.StopAtFirstSink)
-            return;
-          break;
-        }
-        SymValue Query = evalExpr(S->Arg, State);
-        Results.push_back(
-            buildSinkPath(S, Query, State, Attack.AttackLanguage));
-        if (Opts.StopAtFirstSink || Results.size() >= Opts.MaxPaths)
-          return;
-        break;
-      }
-      case Stmt::Kind::Call:
-        // Sanitizer calls bind their target (applySanitizerCall); other
-        // opaque calls have no string effect.
-        applySanitizerCall(
-            S, State, PruneSlices ? &PruneSlices->RelevantVars : nullptr);
-        break;
-      case Stmt::Kind::Exit:
-      case Stmt::Kind::Return:
-        // Exit: path ends (exit blocks have no successors, so falling
-        // out below is correct).
-        break;
-      case Stmt::Kind::If:
-      case Stmt::Kind::While:
-        assert(false && "If/While statements terminate blocks");
-        break;
-      }
-    }
-    if (Block.Terminator) {
-      const Condition &Cond = Block.Terminator->Cond;
-      // Succs[0] is the taken edge; the last successor is the not-taken
-      // edge (either the else head or the join block).
-      assert(Block.Succs.size() == 2 && "if block must have two succs");
-      for (unsigned Edge = 0; Edge != 2; ++Edge) {
-        if (PruneSlices && !PruneSlices->ReachesLiveSink[Block.Succs[Edge]]) {
-          // Skip building the branch constraint too: no path condition
-          // will ever be emitted from the pruned side.
-          ++TaintStats::global().BlocksPruned;
-          continue;
-        }
-        PathState Next = State;
-        if (!addConditionConstraint(Cond, /*Taken=*/Edge == 0,
-                                    Block.Terminator->Line, Next, Opts))
-          continue; // Edge infeasible on constants: no suffix can matter.
-        Next.Block = Block.Succs[Edge];
-        Next.StmtIndex = 0;
-        explore(std::move(Next));
-      }
-      return;
-    }
-    for (BlockId Succ : Block.Succs) {
-      PathState Next = State;
-      Next.Block = Succ;
-      Next.StmtIndex = 0;
-      explore(std::move(Next));
-    }
-  }
-
-  const Cfg &G;
-  const AttackSpec &Attack;
-  const SymExecOptions &Opts;
-  /// Non-null when taint pruning is armed (enablePruning).
-  const SliceResult *PruneSlices = nullptr;
-  /// Sinks the taint pre-pass proved safe.
-  std::set<const Stmt *> SafeSinks;
-  std::vector<PathCondition> Results;
-  bool Interrupted = false;
-};
-
-/// One shared walk of the CFG for N attack specs. Each path carries a
-/// bitmask of the specs still auditing it (PathState::ActiveMask); a
-/// spec's bit clears exactly where its single-spec Explorer would have
-/// returned — at an emitted or taint-proven-safe first sink under
-/// StopAtFirstSink, when its MaxPaths quota fills, or at a block from
-/// which none of its live sinks are reachable — so per-spec path
-/// emission order and contents match N independent runs (the caveat in
+/// One shared walk of the CFG for N attack specs (N = 1 for runSymExec).
+/// Each path carries a bitmask of the specs still auditing it
+/// (PathState::ActiveMask); a spec's bit clears where that spec's own
+/// audit of the path ends — at an emitted or taint-proven-safe first sink
+/// under StopAtFirstSink, when its MaxPaths quota fills, or at a block
+/// from which none of its live sinks are reachable — so per-spec path
+/// emission order and contents match N one-spec runs (the caveat in
 /// runSymExecAll's header comment aside), while the CFG traversal,
 /// condition constraints, and the taint/slice pre-pass are paid once.
 class MultiExplorer {
@@ -518,7 +379,9 @@ public:
 
 private:
   /// The subset of \p Mask whose specs can still reach one of their own
-  /// live sinks from \p Block (all of it when pruning is off).
+  /// live sinks from \p Block (all of it when pruning is off). From a
+  /// block with no live (not proven-safe) sink ahead, every suffix path
+  /// ends sink-free or at a sink whose system is unsatisfiable.
   uint64_t liveAt(uint64_t Mask, BlockId Block) const {
     if (!Pruning)
       return Mask;
@@ -554,8 +417,9 @@ private:
       switch (S->StmtKind) {
       case Stmt::Kind::Assign: {
         if (Pruning && !PruneSlices->RelevantVars.count(S->Target)) {
-          // Outside every spec's live slices (the union): unobservable
-          // by any audit on this path.
+          // Outside every spec's live slices (the union): the value can
+          // reach neither a live sink expression nor a branch condition
+          // guarding one, so the binding is unobservable.
           ++TaintStats::global().AssignsSkipped;
           break;
         }
@@ -577,17 +441,17 @@ private:
         }
         if (Auditing.empty())
           break;
-        // Evaluate the sink argument once for every emitting spec; when
-        // all auditors were proven safe the single-spec runs would not
-        // have evaluated it either.
+        // Evaluate the sink argument once for every emitting spec, and
+        // not at all when every auditor was proven safe.
         SymValue Query;
         if (AnyLive)
           Query = evalExpr(S->Arg, State);
         for (size_t K : Auditing) {
           if (Pruning && SafeSinks[K].count(S)) {
-            // Proven safe for spec K: mirror the single-spec path shape
-            // (a first sink still ends K's audit of this path under
-            // StopAtFirstSink) but emit nothing.
+            // Proven safe for spec K by the taint pre-pass: the un-pruned
+            // walk would emit this path and solve it to unsat. Keep its
+            // path shape (a first sink still ends K's audit of this path
+            // under StopAtFirstSink) but skip the instance and the solve.
             ++TaintStats::global().SinkPathsPruned;
             if (Opts.StopAtFirstSink)
               State.ActiveMask &= ~(uint64_t(1) << K);
@@ -603,11 +467,15 @@ private:
         break;
       }
       case Stmt::Kind::Call:
+        // Sanitizer calls bind their target (applySanitizerCall); other
+        // opaque calls have no string effect.
         applySanitizerCall(
             S, State, Pruning ? &PruneSlices->RelevantVars : nullptr);
         break;
       case Stmt::Kind::Exit:
       case Stmt::Kind::Return:
+        // Exit: path ends (exit blocks have no successors, so falling
+        // out below is correct).
         break;
       case Stmt::Kind::If:
       case Stmt::Kind::While:
@@ -660,29 +528,7 @@ private:
 SymExecResult dprle::miniphp::runSymExec(const Program &P, const Cfg &G,
                                          const AttackSpec &Attack,
                                          const SymExecOptions &Opts) {
-  SymExecResult Result;
-  for (BlockId B = 0; B != G.numBlocks(); ++B)
-    for (const Stmt *S : G.block(B).Stmts)
-      if (S->StmtKind == Stmt::Kind::Sink && Attack.appliesTo(S->Callee))
-        ++Result.SinksFound;
-
-  Explorer E(P, G, Attack, Opts);
-  TaintResult Taint;
-  SliceResult Slices;
-  if (Opts.TaintPrune) {
-    Taint = analyzeTaint(P, G, Attack);
-    if (Taint.Ok) {
-      Slices = computeSlices(G, Taint);
-      if (Slices.Ok) {
-        E.enablePruning(Taint, Slices);
-        Result.TaintUsed = true;
-        Result.SinksProvenSafe = Taint.numProvenSafe();
-      }
-    }
-  }
-  Result.Paths = E.run();
-  Result.Interrupted = E.interrupted();
-  return Result;
+  return std::move(runSymExecAll(P, G, {Attack}, Opts).front());
 }
 
 std::vector<PathCondition>
@@ -706,23 +552,19 @@ dprle::miniphp::runSymExecAll(const Program &P, const Cfg &G,
             ++Results[I].SinksFound;
 
   MultiExplorer E(G, Specs, Opts);
-  // The shared pre-pass: one taint env fixpoint for every spec, one
-  // predecessor/guard pass for every slice (must outlive E.run()).
+  // The shared pre-pass: one taint env fixpoint for every spec, then the
+  // per-spec slices and their unions (both must outlive E.run()). Any
+  // unusable taint pass leaves the slices not Ok, and pruning off.
   std::vector<TaintResult> Taints;
   AuditSliceResult Slices;
   if (Opts.TaintPrune && !Specs.empty()) {
     Taints = analyzeTaintAll(P, G, Specs);
-    bool AllOk = true;
-    for (const TaintResult &T : Taints)
-      AllOk = AllOk && T.Ok;
-    if (AllOk) {
-      Slices = computeAuditSlices(G, Taints);
-      if (Slices.Ok) {
-        E.enablePruning(Taints, Slices);
-        for (size_t I = 0; I != Specs.size(); ++I) {
-          Results[I].TaintUsed = true;
-          Results[I].SinksProvenSafe = Taints[I].numProvenSafe();
-        }
+    Slices = computeAuditSlices(G, Taints);
+    if (Slices.Ok) {
+      E.enablePruning(Taints, Slices);
+      for (size_t I = 0; I != Specs.size(); ++I) {
+        Results[I].TaintUsed = true;
+        Results[I].SinksProvenSafe = Taints[I].numProvenSafe();
       }
     }
   }

@@ -110,7 +110,7 @@ struct SymExecStats {
 
 /// Explores the acyclic paths of \p G (over \p P) that reach a sink and
 /// translates each into an RMA instance, optionally pruning with taint
-/// facts (SymExecOptions::TaintPrune).
+/// facts (SymExecOptions::TaintPrune): runSymExecAll with one spec.
 SymExecResult runSymExec(const Program &P, const Cfg &G,
                          const AttackSpec &Attack,
                          const SymExecOptions &Opts = {});
@@ -128,12 +128,13 @@ std::vector<PathCondition> enumerateSinkPaths(const Program &P,
 /// PathCondition per spec that audits its callee. With Opts.TaintPrune the
 /// shared pre-pass (analyzeTaintAll + computeAuditSlices) also runs once.
 ///
-/// Result[i] is bit-identical in verdict to `runSymExec(P, G, Specs[i],
-/// Opts)`: per-spec paths are emitted in the same order with the same
-/// constraint systems. (The one non-verdict caveat: under TaintPrune the
-/// shared walk keeps assignments relevant to *any* spec, so a path's
-/// InputVariables may name extra — unconstrained — inputs that a
-/// single-spec run would have skipped; see docs/TAINT.md.)
+/// runSymExec is this walk with one spec, so Result[i] is bit-identical in
+/// verdict to `runSymExec(P, G, Specs[i], Opts)`: per-spec paths are
+/// emitted in the same order with the same constraint systems. (The one
+/// non-verdict caveat: under TaintPrune the shared walk keeps assignments
+/// relevant to *any* spec, so a path's InputVariables may name extra —
+/// unconstrained — inputs that a one-spec run would have skipped; see
+/// docs/TAINT.md.) At most 64 specs: the per-path spec mask is 64 bits.
 std::vector<SymExecResult> runSymExecAll(const Program &P, const Cfg &G,
                                          const std::vector<AttackSpec> &Specs,
                                          const SymExecOptions &Opts = {});

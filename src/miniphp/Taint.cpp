@@ -120,10 +120,14 @@ RegisterTaintStats RegisterTaintStatsInit;
 /// as in SymExec's concrete semantics.
 using Env = std::map<std::string, TaintValue>;
 
+/// Widen a value's Approx to Sigma-star once it exceeds this many NFA
+/// states; bounds join/concat growth on diamond-heavy CFGs.
+constexpr unsigned ApproxStateCap = 128;
+
 /// Widens \p V's approximation to Sigma-star past the state cap, keeping
 /// joins and concatenations bounded.
-void capApprox(TaintValue &V, const TaintOptions &Opts) {
-  if (V.Approx->numStates() <= Opts.ApproxStateCap)
+void capApprox(TaintValue &V) {
+  if (V.Approx->numStates() <= ApproxStateCap)
     return;
   V.Approx = sharedSigmaStar();
   ++TaintStats::global().ApproxWidened;
@@ -132,8 +136,7 @@ void capApprox(TaintValue &V, const TaintOptions &Opts) {
 /// Lattice join of two abstract values: level max, language union,
 /// source/line union. Identical shared machines (a variable untouched by
 /// either branch) are reused without building a union.
-TaintValue joinValue(const TaintValue &A, const TaintValue &B,
-                     const TaintOptions &Opts) {
+TaintValue joinValue(const TaintValue &A, const TaintValue &B) {
   if (A.Approx == B.Approx && A.Level == B.Level && A.Sources == B.Sources &&
       A.DefLines == B.DefLines)
     return A; // untouched on both sides: nothing to build
@@ -145,7 +148,7 @@ TaintValue joinValue(const TaintValue &A, const TaintValue &B,
   Out.Sources.insert(B.Sources.begin(), B.Sources.end());
   Out.DefLines = A.DefLines;
   Out.DefLines.insert(B.DefLines.begin(), B.DefLines.end());
-  capApprox(Out, Opts);
+  capApprox(Out);
   return Out;
 }
 
@@ -157,8 +160,7 @@ const TaintValue &lookup(const Env &E, const std::string &Var) {
 
 /// Joins \p From into \p Into (pointwise; a variable bound on one side
 /// only joins against the implicit empty string).
-void joinEnv(std::optional<Env> &Into, const Env &From,
-             const TaintOptions &Opts) {
+void joinEnv(std::optional<Env> &Into, const Env &From) {
   if (!Into) {
     Into = From;
     return;
@@ -167,20 +169,18 @@ void joinEnv(std::optional<Env> &Into, const Env &From,
   for (auto &[Var, Val] : A) {
     auto It = From.find(Var);
     Val = joinValue(Val, It != From.end() ? It->second
-                                          : TaintValue::emptyString(),
-                    Opts);
+                                          : TaintValue::emptyString());
   }
   for (const auto &[Var, Val] : From)
     if (!A.count(Var))
-      A.emplace(Var, joinValue(TaintValue::emptyString(), Val, Opts));
+      A.emplace(Var, joinValue(TaintValue::emptyString(), Val));
 }
 
 /// Abstract evaluation of a string expression: concatenation of the
 /// atoms' abstract values. Runs of literal atoms collapse into a single
 /// literal machine, and a lone variable/input atom reuses its shared
 /// machine outright.
-TaintValue evalTaint(const StrExpr &E, const Env &Environment,
-                     const TaintOptions &Opts) {
+TaintValue evalTaint(const StrExpr &E, const Env &Environment) {
   TaintValue Out;
   std::string Lit;                  // pending run of literal text
   auto flushLit = [&] {
@@ -208,13 +208,13 @@ TaintValue evalTaint(const StrExpr &E, const Env &Environment,
     Out.Level = joinTaint(Out.Level, AtomVal.Level);
     Out.Sources.insert(AtomVal.Sources.begin(), AtomVal.Sources.end());
     Out.DefLines.insert(AtomVal.DefLines.begin(), AtomVal.DefLines.end());
-    capApprox(Out, Opts);
+    capApprox(Out);
   }
   flushLit();
   if (!Out.Approx)
     Out.Approx = sharedEmptyLiteral(); // empty expression: ""
   else
-    capApprox(Out, Opts);
+    capApprox(Out);
   return Out;
 }
 
@@ -225,8 +225,7 @@ TaintValue evalTaint(const StrExpr &E, const Env &Environment,
 /// literal pins it to that literal (a full kill). Negative outcomes and
 /// Length/Substr checks add no refinement, which is sound (the
 /// approximation merely stays wider).
-void refineForEdge(Env &E, const Condition &Cond, bool Taken, unsigned Line,
-                   const TaintOptions &Opts) {
+void refineForEdge(Env &E, const Condition &Cond, bool Taken, unsigned Line) {
   bool WantMatch = Taken != Cond.Negated;
   if (!WantMatch)
     return;
@@ -249,7 +248,7 @@ void refineForEdge(Env &E, const Condition &Cond, bool Taken, unsigned Line,
       return; // unparseable pattern: unconstraining, as in SymExec
     TaintValue V = lookup(E, Var);
     V.Approx = share(intersect(*V.Approx, searchLanguage(R)).trimmed());
-    capApprox(V, Opts);
+    capApprox(V);
     V.DefLines.insert(Line);
     E[Var] = std::move(V);
     ++TaintStats::global().EdgesRefined;
@@ -308,8 +307,7 @@ std::vector<BlockId> topologicalOrder(const Cfg &G,
 
 std::vector<TaintResult>
 dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
-                                const std::vector<AttackSpec> &Specs,
-                                const TaintOptions &Opts) {
+                                const std::vector<AttackSpec> &Specs) {
   DPRLE_TRACE_SPAN("taint_dataflow");
   (void)P; // statements are reached through the CFG blocks
   TaintStats &Stats = TaintStats::global();
@@ -344,7 +342,7 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
     for (const Stmt *S : Block.Stmts) {
       switch (S->StmtKind) {
       case Stmt::Kind::Assign: {
-        TaintValue V = evalTaint(S->Value, Current, Opts);
+        TaintValue V = evalTaint(S->Value, Current);
         V.DefLines.insert(S->Line);
         Current[S->Target] = std::move(V);
         break;
@@ -356,7 +354,7 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
           if (!Specs[I].appliesTo(S->Callee))
             continue;
           if (!Evaluated) {
-            V = evalTaint(S->Arg, Current, Opts);
+            V = evalTaint(S->Arg, Current);
             Evaluated = true;
           }
           SinkFact Fact;
@@ -392,7 +390,7 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
           Current[S->Target] = TaintValue::top();
           break;
         }
-        TaintValue Arg = evalTaint(S->Arg, Current, Opts);
+        TaintValue Arg = evalTaint(S->Arg, Current);
         TaintValue V;
         V.Level = Arg.Level;
         V.Approx = San->Output;
@@ -417,12 +415,12 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
       for (unsigned Edge = 0; Edge != Block.Succs.size(); ++Edge) {
         Env Refined = Current;
         refineForEdge(Refined, Block.Terminator->Cond, /*Taken=*/Edge == 0,
-                      Block.Terminator->Line, Opts);
-        joinEnv(InEnv[Block.Succs[Edge]], Refined, Opts);
+                      Block.Terminator->Line);
+        joinEnv(InEnv[Block.Succs[Edge]], Refined);
       }
     } else {
       for (BlockId S : Block.Succs)
-        joinEnv(InEnv[S], Current, Opts);
+        joinEnv(InEnv[S], Current);
     }
   }
 
@@ -457,8 +455,7 @@ dprle::miniphp::analyzeTaintAll(const Program &P, const Cfg &G,
 }
 
 TaintResult dprle::miniphp::analyzeTaint(const Program &P, const Cfg &G,
-                                         const AttackSpec &Attack,
-                                         const TaintOptions &Opts) {
-  std::vector<TaintResult> Results = analyzeTaintAll(P, G, {Attack}, Opts);
+                                         const AttackSpec &Attack) {
+  std::vector<TaintResult> Results = analyzeTaintAll(P, G, {Attack});
   return std::move(Results.front());
 }

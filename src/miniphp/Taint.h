@@ -63,7 +63,7 @@ struct TaintValue {
   TaintLevel Level = TaintLevel::Untainted;
   /// Over-approximation of the concrete strings the value can take on
   /// any path. Always a superset of the reachable values; widened to
-  /// Sigma-star when it grows past TaintOptions::ApproxStateCap.
+  /// Sigma-star when it grows past 128 NFA states (Taint.cpp).
   /// Shared and immutable so per-edge environment copies and joins of
   /// unchanged variables are pointer operations, not machine copies —
   /// the dataflow pass would otherwise cost more than the solves it
@@ -81,17 +81,6 @@ struct TaintValue {
   static TaintValue untrustedInput(const std::string &Key);
   /// The no-information value (opaque call results).
   static TaintValue top();
-};
-
-/// Knobs for the dataflow pass.
-struct TaintOptions {
-  /// Widen a value's Approx to Sigma-star once it exceeds this many NFA
-  /// states; bounds join/concat growth on diamond-heavy CFGs.
-  unsigned ApproxStateCap = 128;
-  /// Safety cap on fixpoint sweeps. Cfg::build only produces DAGs, for
-  /// which a single reverse-post-order sweep converges; the cap guards
-  /// against a future cyclic CFG.
-  unsigned MaxPasses = 4;
 };
 
 /// The verdict for one sink statement.
@@ -129,8 +118,7 @@ struct TaintResult {
 /// Runs the forward taint pass over \p G (built from \p P) for the sinks
 /// selected by \p Attack.
 TaintResult analyzeTaint(const Program &P, const Cfg &G,
-                         const AttackSpec &Attack,
-                         const TaintOptions &Opts = {});
+                         const AttackSpec &Attack);
 
 /// Runs ONE forward sweep for every spec at once and returns per-spec
 /// results (parallel to \p Specs). The abstract environments do not
@@ -139,10 +127,9 @@ TaintResult analyzeTaint(const Program &P, const Cfg &G,
 /// value machines are computed once; each sink then checks its abstract
 /// language against each auditing spec's attack language (sharing
 /// DecisionCache entries when approximations repeat across sinks).
-/// Result[i].Sinks is identical to analyzeTaint(P, G, Specs[i], Opts).
+/// Result[i].Sinks is identical to analyzeTaint(P, G, Specs[i]).
 std::vector<TaintResult> analyzeTaintAll(const Program &P, const Cfg &G,
-                                         const std::vector<AttackSpec> &Specs,
-                                         const TaintOptions &Opts = {});
+                                         const std::vector<AttackSpec> &Specs);
 
 /// Process-wide counters for the pass, published to the StatsRegistry
 /// under "miniphp.taint.*" (see docs/OBSERVABILITY.md).

@@ -425,6 +425,29 @@ TEST(ToolsTest, AuditPolicyFilterAndBatchMode) {
   EXPECT_EQ(run({"audit", "--policy=bogus", Vuln}).Code, 2);
 }
 
+TEST(ToolsTest, AuditRepeatedPolicyIdsAuditOnce) {
+  // 65 ids overflow the shared walk's 64-bit per-path spec mask unless
+  // repeats collapse; the alias "sql" names the same policy.
+  std::string Ids = "sqli";
+  for (int I = 0; I != 64; ++I)
+    Ids += I % 2 ? ",sqli" : ",sql";
+  RunResult R = run({"audit", "--policy=" + Ids, "-"},
+                    "query(\"SELECT \" . $_GET['id']);\n");
+  EXPECT_EQ(R.Code, 0) << R.Err;
+  Json Doc = auditReport(R);
+  ASSERT_EQ(Doc.find("policies")->size(), 1u);
+  EXPECT_EQ(Doc.find("policies")->elements().front().asString(), "sqli");
+  EXPECT_EQ(findingFor(Doc, "sqli").find("verdict")->asString(),
+            "vulnerable");
+
+  // First-occurrence order is kept.
+  Json Order = auditReport(run({"audit", "--policy=xss,sqli,xss", "-"},
+                               "echo $_GET['a'];\n"));
+  ASSERT_EQ(Order.find("policies")->size(), 2u);
+  EXPECT_EQ(Order.find("policies")->elements()[0].asString(), "xss");
+  EXPECT_EQ(Order.find("policies")->elements()[1].asString(), "sqli");
+}
+
 TEST(ToolsTest, AuditMatchesSeparateAnalyzeRuns) {
   // The tentpole invariant at CLI level: the audit's per-policy verdicts
   // equal four separate --attack= runs on the same file.

@@ -821,7 +821,9 @@ int dprle::tools::runAudit(const std::vector<std::string> &Args,
         Err << "error: --policy= requires a comma-separated policy list\n";
         return 2;
       }
-      // Comma-separated ids; repeated flags accumulate.
+      // Comma-separated ids; repeated flags accumulate, and a policy
+      // named more than once (also through an alias) is audited once, in
+      // the place it was first named.
       size_t Pos = 0;
       while (Pos <= Value.size()) {
         size_t Comma = Value.find(',', Pos);
@@ -830,7 +832,8 @@ int dprle::tools::runAudit(const std::vector<std::string> &Args,
             lookupPolicy(Value.substr(Pos, End - Pos), Err);
         if (!P)
           return 2;
-        Policies.push_back(P);
+        if (std::find(Policies.begin(), Policies.end(), P) == Policies.end())
+          Policies.push_back(P);
         if (Comma == std::string::npos)
           break;
         Pos = Comma + 1;
