@@ -43,34 +43,25 @@ void solvePaths(const SymExecResult &Sym, const AnalysisOptions &Opts,
   }
 }
 
-/// The one audit pipeline: parse, inline, unroll, build the CFG, walk it
-/// once for every spec (runSymExecAll), then solve each spec's paths. The
-/// findings carry no policy id; auditSource names them.
+/// The one audit pipeline: the front end, one walk of the CFG for every
+/// spec (runSymExecAll), then each spec's solves. The findings carry no
+/// policy id; auditSource names them.
 AuditResult auditSpecs(const std::string &Source,
                        const std::vector<AttackSpec> &Specs,
                        const AnalysisOptions &Opts) {
   AuditResult Result;
-  ParseResult Parsed = parseProgram(Source);
-  if (!Parsed.Ok) {
-    Result.ParseError = Parsed.Error + " (line " +
-                        std::to_string(Parsed.ErrorLine) + ")";
-    return Result;
-  }
-  InlineResult Inlined = inlineFunctions(Parsed.Prog);
-  if (!Inlined.Ok) {
-    Result.ParseError = Inlined.Error + " (line " +
-                        std::to_string(Inlined.ErrorLine) + ")";
+  FrontEnd Front = buildFrontEnd(Source, Opts.LoopUnroll);
+  if (!Front.Ok) {
+    Result.ParseError = std::move(Front.Error);
     return Result;
   }
   Result.ParseOk = true;
-
-  Program Prog = unrollLoops(Inlined.Prog, Opts.LoopUnroll);
-  Cfg G = Cfg::build(Prog);
-  Result.NumBlocks = G.numBlocks();
+  Result.NumBlocks = Front.G.numBlocks();
 
   SymExecOptions SymOpts = Opts.SymExec;
   SymOpts.TaintPrune = Opts.TaintPrune;
-  std::vector<SymExecResult> Sym = runSymExecAll(Prog, G, Specs, SymOpts);
+  std::vector<SymExecResult> Sym =
+      runSymExecAll(Front.Prog, Front.G, Specs, SymOpts);
 
   // The solve fan-out: one fresh Solver per spec, so each spec's verdict
   // is the one a one-spec audit reaches (the DecisionCache is
@@ -83,6 +74,27 @@ AuditResult auditSpecs(const std::string &Source,
 }
 
 } // namespace
+
+FrontEnd dprle::miniphp::buildFrontEnd(const std::string &Source,
+                                       unsigned LoopUnroll) {
+  FrontEnd Result;
+  ParseResult Parsed = parseProgram(Source);
+  if (!Parsed.Ok) {
+    Result.Error =
+        Parsed.Error + " (line " + std::to_string(Parsed.ErrorLine) + ")";
+    return Result;
+  }
+  InlineResult Inlined = inlineFunctions(Parsed.Prog);
+  if (!Inlined.Ok) {
+    Result.Error =
+        Inlined.Error + " (line " + std::to_string(Inlined.ErrorLine) + ")";
+    return Result;
+  }
+  Result.Ok = true;
+  Result.Prog = unrollLoops(Inlined.Prog, LoopUnroll);
+  Result.G = Cfg::build(Result.Prog);
+  return Result;
+}
 
 AnalysisResult dprle::miniphp::analyzeSource(const std::string &Source,
                                              const AttackSpec &Attack,

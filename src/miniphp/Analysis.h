@@ -46,6 +46,20 @@ struct AnalysisOptions {
   }
 };
 
+/// The front end every analysis of a source file shares: parse, inline
+/// the functions, unroll each loop \p LoopUnroll times, build the CFG.
+struct FrontEnd {
+  bool Ok = false;
+  /// When !Ok: the parser's or the inliner's message, "... (line N)".
+  std::string Error;
+  Program Prog;
+  /// The CFG of Prog; its blocks point into Prog's statements, which
+  /// stay put when a FrontEnd is moved.
+  Cfg G;
+};
+
+FrontEnd buildFrontEnd(const std::string &Source, unsigned LoopUnroll);
+
 /// One attack spec's verdict on one source file: the part of a report
 /// that analyzeSource and each auditSource finding share.
 struct SpecFinding {

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 using namespace dprle;
@@ -575,4 +577,153 @@ TEST(ToolsTest, AuditWatchRejectsBadUsage) {
             2);
   // The watch target must be a directory.
   EXPECT_EQ(run({"audit", "--watch=" + Php}).Code, 2);
+}
+
+namespace {
+
+/// `dprle help`, parsed: each subcommand's flags, spelled as listed
+/// ("--jobs=N", "--first", "--stats=<file.json>").
+std::map<std::string, std::vector<std::string>> helpFlags() {
+  RunResult Help = run({"help"});
+  EXPECT_EQ(Help.Code, 0);
+  std::map<std::string, std::vector<std::string>> Flags;
+  std::istringstream Lines(Help.Out);
+  std::string Line, Command;
+  while (std::getline(Lines, Line)) {
+    if (Line.rfind("dprle ", 0) == 0)
+      Command = Line.substr(6, Line.find(' ', 6) - 6);
+    else if (Line.rfind("  --", 0) == 0 && !Command.empty())
+      Flags[Command].push_back(Line.substr(2, Line.find(' ', 2) - 2));
+  }
+  return Flags;
+}
+
+std::string nameOf(const std::string &Spelled) {
+  return Spelled.substr(2, Spelled.find('=') - 2);
+}
+
+size_t errorLines(const std::string &Err) {
+  size_t N = Err.rfind("error:", 0) == 0;
+  for (size_t At = Err.find("\nerror:"); At != std::string::npos;
+       At = Err.find("\nerror:", At + 1))
+    ++N;
+  return N;
+}
+
+} // namespace
+
+TEST(ToolsTest, HelpListsEveryFlagAndEveryNumberIsChecked) {
+  // The flags the hand-written usage text listed before the flag tables
+  // existed; every one must still be accepted and documented.
+  const std::map<std::string, std::string> Listed = {
+      {"solve", "first jobs no-decision-cache deadline-ms max-memory-bytes "
+                "stats trace"},
+      {"analyze", "attack all no-taint-prune no-decision-cache stats trace"},
+      {"taint", "attack no-decision-cache stats trace"},
+      {"audit", "policy all no-taint-prune no-decision-cache stats trace "
+                "watch watch-poll-ms watch-max-sweeps"},
+      {"repl", "first jobs no-decision-cache"},
+      {"serve", "jobs deadline-ms max-states max-states-budget "
+                "max-transitions-budget max-memory-bytes max-queue "
+                "retry-after-ms fault listen unix-socket max-inflight shards "
+                "max-restarts max-sessions session-idle-ms journal-dir "
+                "journal-fsync journal-compact-bytes watchdog-ms"},
+  };
+  std::map<std::string, std::vector<std::string>> Flags = helpFlags();
+  for (const auto &[Command, Names] : Listed) {
+    std::set<std::string> Documented;
+    for (const std::string &Spelled : Flags[Command])
+      Documented.insert(nameOf(Spelled));
+    std::istringstream Words(Names);
+    for (std::string Name; Words >> Name;)
+      EXPECT_TRUE(Documented.count(Name)) << Command << " --" << Name;
+  }
+
+  // Every numeric flag rejects what is not a number in its range, with
+  // one error line naming it, before the command does anything.
+  size_t Numeric = 0;
+  for (const auto &[Command, Spelled] : Flags)
+    for (const std::string &Flag : Spelled) {
+      if (Flag.size() < 2 || Flag.substr(Flag.size() - 2) != "=N")
+        continue;
+      ++Numeric;
+      std::string Prefix = Flag.substr(0, Flag.size() - 1);
+      for (const char *Bad : {"", "x", "-1", "99999999999999999999999"}) {
+        RunResult R = run({Command, Prefix + Bad});
+        EXPECT_EQ(R.Code, 2) << Command << " " << Prefix << Bad;
+        EXPECT_EQ(R.Out, "") << Command << " " << Prefix << Bad;
+        EXPECT_EQ(errorLines(R.Err), 1u) << R.Err;
+        EXPECT_NE(R.Err.find(Prefix), std::string::npos) << R.Err;
+      }
+    }
+  EXPECT_GE(Numeric, 21u);
+}
+
+TEST(ToolsTest, OverflowingNumbersAreUsageErrors) {
+  // Past 2^64 - 1 each of these used to abort on an uncaught
+  // std::out_of_range.
+  for (const std::vector<std::string> &Args :
+       std::vector<std::vector<std::string>>{
+           {"solve", "--jobs=99999999999999999999999", "-"},
+           {"solve", "--deadline-ms=99999999999999999999", "-"},
+           {"serve", "--listen=:99999999999999999999"},
+           {"audit", "--watch-poll-ms=99999999999999999999", "--watch=."}}) {
+    RunResult R = run(Args, "var v;\nv <= /a/;\n");
+    EXPECT_EQ(R.Code, 2) << Args[1];
+    EXPECT_EQ(errorLines(R.Err), 1u) << R.Err;
+    EXPECT_NE(R.Err.find(Args[1].substr(0, Args[1].find('=') + 1)),
+              std::string::npos)
+        << R.Err;
+  }
+}
+
+TEST(ToolsTest, EachCommandTakesItsNumberOfInputs) {
+  TempDir Tmp;
+  std::string Unsat = Tmp.file("unsat.rma", "var v;\nv <= /a/;\nv <= /b/;\n");
+  std::string Sat = Tmp.file("sat.rma", "var v;\nv <= /ab*/;\n");
+  std::string Php = Tmp.file("a.php", "query($_GET['q']);\n");
+  ASSERT_EQ(run({"solve", Unsat}).Code, 1);
+  ASSERT_EQ(run({"solve", Sat}).Code, 0);
+  // A second input used to replace the first: this printed `sat`.
+  for (const std::vector<std::string> &Args :
+       std::vector<std::vector<std::string>>{{"solve", Unsat, Sat},
+                                             {"analyze", Php, Php},
+                                             {"taint", Php, Php},
+                                             {"repl", Sat},
+                                             {"serve", Sat},
+                                             {"corpus", Tmp.Path.string(),
+                                              Sat}}) {
+    RunResult R = run(Args);
+    EXPECT_EQ(R.Code, 2) << Args[0];
+    EXPECT_EQ(R.Out, "") << Args[0];
+    EXPECT_EQ(errorLines(R.Err), 1u) << R.Err;
+  }
+  // `audit` takes one or more.
+  EXPECT_EQ(run({"audit", Php, Php}).Code, 0);
+}
+
+TEST(ToolsTest, JobsShardsAndWaitsAreBoundedBeforeAnythingStarts) {
+  // Only rejected values: nothing here may start a pool or a fleet.
+  std::string OverJobs = "--jobs=" + std::to_string(MaxJobs + 1);
+  for (const std::vector<std::string> &Args :
+       std::vector<std::vector<std::string>>{
+           {"solve", OverJobs, "-"},
+           {"repl", OverJobs},
+           {"serve", OverJobs},
+           // 2^32 + 1 used to run one worker, 2^32 a pool of zero.
+           {"solve", "--jobs=4294967297", "-"},
+           {"serve", "--jobs=4294967296"},
+           {"serve", "--shards=" + std::to_string(MaxShards + 1)},
+           {"serve", "--shards=4294967298"},
+           // Waits past MaxIntervalMs: 2^64 - 1 ms used to wait not at all.
+           {"audit", "--watch-poll-ms=18446744073709551615", "--watch=."},
+           {"serve", "--watchdog-ms=" + std::to_string(MaxIntervalMs + 1)}}) {
+    RunResult R = run(Args, "var v;\nv <= /a/;\n");
+    EXPECT_EQ(R.Code, 2) << Args[1];
+    EXPECT_EQ(R.Out, "") << Args[1];
+    EXPECT_EQ(errorLines(R.Err), 1u) << R.Err;
+    EXPECT_NE(R.Err.find(Args[1].substr(0, Args[1].find('=') + 1)),
+              std::string::npos)
+        << R.Err;
+  }
 }

@@ -5,22 +5,9 @@
 /// library so the command handlers can be unit-tested directly (streams
 /// in, streams out, exit code returned).
 ///
-/// Subcommands:
-///   dprle solve [--first] [--jobs=N] <file.rma | ->  solve a constraint file
-///   dprle analyze [--attack=<policy>] <file.php> find injection exploits
-///   dprle taint [--attack=<policy>] <file.php>   taint/slice lint report
-///   dprle audit [--policy=<id>,...] <file.php...>  all-policy JSON audit
-///   dprle audit --watch=<dir> [--watch-poll-ms=D] [--watch-max-sweeps=N]
-///                                                streaming re-audit loop
-///   dprle repl [--first] [--jobs=N]              incremental session REPL
-///   dprle automata <op> <machine...>             automata calculator
-///   dprle corpus <directory>                     dump the Fig. 11 corpus
-///   dprle serve [--jobs=N] [--deadline-ms=D] [--max-states=N]
-///               [--max-states-budget=N] [--max-transitions-budget=N]
-///               [--max-memory-bytes=N] [--max-queue=N] [--retry-after-ms=D]
-///               [--fault=<site>:<nth>]              NDJSON solving service
-///                (budget/backpressure/fault-injection knobs are documented
-///                in docs/ROBUSTNESS.md)
+/// `dprle help` lists the subcommands and every flag of each, printed
+/// from the same per-command tables that parse them (Commands.cpp). A
+/// switch is spelled `--name`, every other flag `--name=value`.
 ///
 /// `analyze` and `taint` audit ONE policy per run (`--attack=` takes any
 /// registered policy id: sqli, xss, path, cmd, plus the historical alias
@@ -56,6 +43,7 @@
 #ifndef DPRLE_TOOLS_COMMANDS_H
 #define DPRLE_TOOLS_COMMANDS_H
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -63,43 +51,20 @@
 namespace dprle {
 namespace tools {
 
-/// `dprle solve` — constraint-file solving.
-int runSolve(const std::vector<std::string> &Args, std::istream &In,
-             std::ostream &Out, std::ostream &Err);
+/// The most threads `--jobs=` may ask for (`solve`, `repl`, `serve`).
+constexpr uint64_t MaxJobs = 256;
 
-/// `dprle analyze` — mini-PHP vulnerability analysis.
-int runAnalyze(const std::vector<std::string> &Args, std::istream &In,
-               std::ostream &Out, std::ostream &Err);
+/// The most worker processes `serve --shards=` may fork.
+constexpr uint64_t MaxShards = 64;
 
-/// `dprle taint` — standalone taint/slice lint report (no solving).
-int runTaint(const std::vector<std::string> &Args, std::istream &In,
-             std::ostream &Out, std::ostream &Err);
+/// The longest wait `audit --watch-poll-ms=` and `serve --watchdog-ms=`
+/// may ask for: 2^32 - 1 ms, about 49.7 days. Past 2^63 ms the wait's
+/// duration wraps negative and is no wait at all.
+constexpr uint64_t MaxIntervalMs = (uint64_t(1) << 32) - 1;
 
-/// `dprle audit` — multi-policy single-pass vulnerability audit with a
-/// JSON report on stdout.
-int runAudit(const std::vector<std::string> &Args, std::istream &In,
-             std::ostream &Out, std::ostream &Err);
-
-/// `dprle automata` — the automata calculator.
-int runAutomata(const std::vector<std::string> &Args, std::ostream &Out,
-                std::ostream &Err);
-
-/// `dprle corpus` — write the synthetic corpus to a directory.
-int runCorpus(const std::vector<std::string> &Args, std::ostream &Out,
-              std::ostream &Err);
-
-/// `dprle serve` — the NDJSON solving service (docs/SERVICE.md).
-int runServe(const std::vector<std::string> &Args, std::istream &In,
-             std::ostream &Out, std::ostream &Err);
-
-/// `dprle repl` — the interactive incremental solving session
-/// (docs/SESSIONS.md): push/pop constraint frames and re-check with warm
-/// restarts.
-int runRepl(const std::vector<std::string> &Args, std::istream &In,
-            std::ostream &Out, std::ostream &Err);
-
-/// Top-level dispatch (argv[0] already stripped). Prints usage on
-/// unknown commands.
+/// Runs one `dprle` command line (argv[0] already stripped): the
+/// subcommand's flags are parsed and checked in full before it acts.
+/// Prints the usage on an unknown command.
 int runMain(const std::vector<std::string> &Args, std::istream &In,
             std::ostream &Out, std::ostream &Err);
 
